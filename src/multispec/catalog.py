@@ -19,6 +19,7 @@ from .poly import rational_map_from_text
 from .spectrum import (
     DEFAULT_QUANTUM,
     SpectrumFingerprint,
+    _fnv64,
     fingerprint,
     quantized_levels,
     spectrum,
@@ -30,18 +31,6 @@ FIELD_ORDER = [
     "id", "map_text", "degree", "max_period", "quantum",
     "digest", "levels", "tags", "created_at",
 ]
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-
-
-def _fnv64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return h
-
 
 @dataclass(frozen=True)
 class CatalogEntry:

@@ -23,9 +23,11 @@ from . import families as fam
 from . import pcf
 from .spectrum import (
     SpectrumFingerprint,
+    _length_spectrum,
+    _multiplier_spectrum,
     compare_spectra,
     disjoint_type_from_spectrum,
-    length_spectrum,
+    periodic_point_levels,
     spectrum,
     spectrum_level,
 )
@@ -145,9 +147,10 @@ def _emit_record(kind: str, fields: list[tuple[str, str]]):
 def cmd_spectrum(args) -> int:
     cfg = _config_from(args)
     f = rational_map_from_text(args.map)
-    s = spectrum(f, cfg.max_period, cfg.max_roots, cfg.root_config)
-    lengths = (length_spectrum(f, cfg.max_period, cfg.max_roots, cfg.root_config)
-               if args.length else None)
+    # one level pass serves both records
+    data = periodic_point_levels(f, cfg.max_period, cfg.max_roots, cfg.root_config)
+    s = _multiplier_spectrum(f.degree, data)
+    lengths = _length_spectrum(f.degree, data) if args.length else None
     if cfg.output_format == "records":
         _emit_record("map", [("text", format_map(f)), ("degree", str(f.degree))])
         for n, level in enumerate(s.levels, start=1):
@@ -252,7 +255,7 @@ def cmd_classify(args) -> int:
             cyc = f"period {ev.cycle.exact_period}" if ev.cycle else "none"
             print(f"  critical point {ev.critical_point}: {ev.fate.value} (cycle {cyc})")
     if args.from_spectrum:
-        s = spectrum(f, cfg.max_period, cfg.max_roots)
+        s = spectrum(f, cfg.max_period, cfg.max_roots, cfg.root_config)
         recovered = disjoint_type_from_spectrum(s)
         agrees = (result.status is pcf.Classification.DISJOINT_TYPE
                   and result.disjoint_type == recovered) or \

@@ -28,6 +28,7 @@ the multiplier and does not depend on the chart.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -196,15 +197,6 @@ def _log_resultant(p: np.ndarray, q: np.ndarray, degree: int) -> float:
     return float(logabs)
 
 
-@dataclass(frozen=True, eq=False)
-class BinaryFormPair:
-    """Two homogeneous forms of one formal degree, jointly normalized."""
-
-    p: np.ndarray
-    q: np.ndarray
-    degree: int
-
-
 # ---------------------------------------------------------------------------
 # Rational maps
 # ---------------------------------------------------------------------------
@@ -215,10 +207,6 @@ class RationalMap:
     q: np.ndarray  # denominator form
     degree: int
     log_resultant: float  # log |Res| of the normalized pair
-
-    @property
-    def forms(self) -> BinaryFormPair:
-        return BinaryFormPair(self.p, self.q, self.degree)
 
     def evaluate(self, point) -> ProjectivePoint:
         pt = as_point(point)
@@ -367,23 +355,24 @@ def substitute_forms(outer_p, outer_q, inner_p, inner_q):
     """Substitute the inner form pair into the outer one.
 
     Arrays are dehomogenized coefficient vectors; the outer pair must be
-    at full formal length. Returns the raw, unnormalized composed pair.
+    at full formal length. Returns the raw, unnormalized composed pair,
+    computed in the widest complex dtype among the inputs (at least
+    complex128).
     """
-    outer_p = np.asarray(outer_p, dtype=complex)
-    outer_q = np.asarray(outer_q, dtype=complex)
-    inner_p = np.asarray(inner_p, dtype=complex)
-    inner_q = np.asarray(inner_q, dtype=complex)
+    forms = [np.asarray(c) for c in (outer_p, outer_q, inner_p, inner_q)]
+    dtype = np.result_type(*forms, complex)
+    outer_p, outer_q, inner_p, inner_q = (c.astype(dtype, copy=False) for c in forms)
     m = len(outer_p) - 1
     g = len(inner_p) - 1
     # powers inner_p^k and inner_q^(m-k)
-    p_pows = [np.array([1], dtype=complex)]
-    q_pows = [np.array([1], dtype=complex)]
+    p_pows = [np.array([1], dtype=dtype)]
+    q_pows = [np.array([1], dtype=dtype)]
     for _ in range(m):
         p_pows.append(np.convolve(p_pows[-1], inner_p))
         q_pows.append(np.convolve(q_pows[-1], inner_q))
     size = m * g + 1
-    new_p = np.zeros(size, dtype=complex)
-    new_q = np.zeros(size, dtype=complex)
+    new_p = np.zeros(size, dtype=dtype)
+    new_q = np.zeros(size, dtype=dtype)
     for k in range(m + 1):
         mixed = np.convolve(p_pows[k], q_pows[m - k])
         new_p[: len(mixed)] += outer_p[k] * mixed
@@ -474,61 +463,113 @@ def conjugate(f: RationalMap, phi: MobiusTransform) -> RationalMap:
 # Chart-covariant differentiation
 # ---------------------------------------------------------------------------
 
-def _chart_is_z(pt: ProjectivePoint) -> bool:
-    return abs(pt.x) <= abs(pt.y)
+class _OrbitDifferentials:
+    """The one walk of orbits in charts: f and its differential advanced
+    together in homogeneous coordinates, many points per vectorized step.
 
-
-def _chart_arrays(f: RationalMap, src_z: bool, dst_z: bool):
-    if src_z and dst_z:
-        return f.p, f.q
-    if src_z:
-        return f.q, f.p
-    if dst_z:
-        return f.p[::-1], f.q[::-1]
-    return f.q[::-1], f.p[::-1]
-
-
-def step_derivative(f: RationalMap, src, dst) -> complex:
-    """Derivative of f from the chart at src to the chart at dst.
-
-    Chart choices keep every evaluation argument inside the closed unit
-    disk, so this stays well-conditioned through transits near infinity.
+    Each step evaluates f in the chart of the current point (z where
+    |z| <= 1, w = 1/z otherwise), so every polynomial argument stays in
+    the closed unit disk and orbits through infinity need no special
+    treatment.
     """
-    src = as_point(src)
-    dst = as_point(dst)
-    src_z = _chart_is_z(src)
-    num, den = _chart_arrays(f, src_z, _chart_is_z(dst))
-    u = src.x / src.y if src_z else src.y / src.x
-    nv = complex(npoly.polyval(u, num))
-    dv = complex(npoly.polyval(u, den))
-    ndv = complex(npoly.polyval(u, npoly.polyder(num)))
-    ddv = complex(npoly.polyval(u, npoly.polyder(den)))
-    if dv == 0:
-        if nv == 0:
-            raise IndeterminateDerivative("0/0 in both charts at this point")
-        return complex(math.inf, 0.0)
-    return (ndv * dv - nv * ddv) / (dv * dv)
 
+    def __init__(self, f: RationalMap):
+        self.degree = f.degree
+        # degree-d forms and their degree-(d-1) partials, stacked so one
+        # polyval call per chart evaluates a whole group
+        self.forms = np.column_stack([f.p, f.q])
+        self.forms_rev = self.forms[::-1].copy()
+        self.partials = np.column_stack([
+            _form_partial_x(f.p), _form_partial_y(f.p),
+            _form_partial_x(f.q), _form_partial_y(f.q),
+        ])
+        self.partials_rev = self.partials[::-1].copy()
 
-def derivative_at(f: RationalMap, point) -> complex:
-    """Chart-covariant derivative of f at a point.
+    def _step_values(self, x: np.ndarray, y: np.ndarray):
+        """(P, Q, P_X, P_Y, Q_X, Q_Y) at all points, chart per point."""
+        d = self.degree
+        inner = np.abs(x) <= np.abs(y)
+        outer = ~inner
+        vals = np.empty((6, len(x)), dtype=complex)
+        xi, yi = x[inner], y[inner]
+        u = np.where(yi == 0, 0.0, xi / np.where(yi == 0, 1.0, yi))
+        vals[0:2, inner] = npoly.polyval(u, self.forms) * yi**d
+        vals[2:6, inner] = npoly.polyval(u, self.partials) * yi ** (d - 1)
+        xo, yo = x[outer], y[outer]
+        w = yo / xo
+        vals[0:2, outer] = npoly.polyval(w, self.forms_rev) * xo**d
+        vals[2:6, outer] = npoly.polyval(w, self.partials_rev) * xo ** (d - 1)
+        return vals
 
-    The chart (z for |z| <= 1, w = 1/z otherwise) is applied on both
-    sides, so at a fixed point the value is the multiplier.
-    """
-    pt = as_point(point)
-    src_z = _chart_is_z(pt)
-    num, den = _chart_arrays(f, src_z, src_z)
-    u = pt.x / pt.y if src_z else pt.y / pt.x
-    nv = complex(npoly.polyval(u, num))
-    dv = complex(npoly.polyval(u, den))
-    ndv = complex(npoly.polyval(u, npoly.polyder(num)))
-    ddv = complex(npoly.polyval(u, npoly.polyder(den)))
-    if dv == 0:
-        if nv == 0:
-            raise IndeterminateDerivative("0/0 in both charts at this point")
-        return complex(math.inf, 0.0)
-    return (ndv * dv - nv * ddv) / (dv * dv)
+    def newton_data(self, n: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per point: F(z)/F'(z) of the level-n fixed-point polynomial, and
+        the chordal residual between f^n(z) and z.
+
+        The orbit step and its z-derivative share one renormalization, so
+        the Newton ratio comes out at full precision even where the
+        iterate's monomial coefficients are numerically flat. Non-finite
+        cases come back as ratio 0 with residual inf.
+        """
+        z = np.asarray(z, dtype=complex)
+        x = z.copy()
+        y = np.ones_like(x)
+        dx = np.ones_like(x)
+        dy = np.zeros_like(x)
+        for _ in range(n):
+            pv, qv, vpx, vpy, vqx, vqy = self._step_values(x, y)
+            dx, dy = vpx * dx + vpy * dy, vqx * dx + vqy * dy
+            x, y = pv, qv
+            s = np.maximum(np.abs(x), np.abs(y))
+            s = np.where((s == 0) | ~np.isfinite(s), 1.0, s)
+            x, y, dx, dy = x / s, y / s, dx / s, dy / s
+        num = x - z * y
+        den = dx - y - z * dy
+        bad = (den == 0) | ~np.isfinite(num) | ~np.isfinite(den)
+        ratio = np.where(bad, 0.0, num / np.where(bad, 1.0, den))
+        # chordal distance between (x, y) and (z, 1)
+        residual = np.abs(x - y * z) / np.sqrt(
+            (np.abs(x) ** 2 + np.abs(y) ** 2) * (np.abs(z) ** 2 + 1.0)
+        )
+        residual = np.where(np.isfinite(residual), residual, np.inf)
+        return ratio, residual
+
+    def multipliers(self, n: int, points) -> np.ndarray:
+        """Derivative of f^n at each point, from its chart back to its chart.
+
+        The chain rule runs per step: each factor is the derivative from
+        the source chart to the image chart, the image chart is chosen
+        from the renormalized image and serves as the next step's source,
+        and the last step closes in the start chart, so at a point fixed
+        by f^n the chart changes telescope away and the value is the
+        multiplier. Per-step factors keep small multipliers at full
+        relative accuracy; a difference of end-of-orbit values would
+        bury a superattracting multiplier near 1e-46 under rounding near
+        1e-15. The value is inf where the closing image lies on the start
+        chart's pole, and nan where the orbit collapses to 0/0.
+        """
+        x = np.array([p.x for p in points], dtype=complex)
+        y = np.array([p.y for p in points], dtype=complex)
+        start_z = np.abs(x) <= np.abs(y)
+        src_z = start_z
+        lam = np.ones(len(x), dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(n):
+                pv, qv, vpx, vpy, vqx, vqy = self._step_values(x, y)
+                # (a, b): derivative of (P, Q) along the source chart coordinate
+                a = np.where(src_z, y * vpx, x * vpy)
+                b = np.where(src_z, y * vqx, x * vqy)
+                s = np.maximum(np.abs(pv), np.abs(qv))
+                s = np.where((s == 0) | ~np.isfinite(s), 1.0, s)
+                x, y = pv / s, qv / s
+                dst_z = start_z if i == n - 1 else np.abs(x) <= np.abs(y)
+                num = np.where(dst_z, a * qv - pv * b, b * pv - qv * a)
+                den = np.where(dst_z, qv, pv)
+                lam = lam * (num / (den * den))
+                src_z = dst_z
+            if n >= 1:
+                other = np.where(src_z, pv, qv)
+                lam = np.where(den != 0, lam, np.where(other != 0, np.inf, np.nan))
+        return lam
 
 
 def orbit(f: RationalMap, start, steps: int) -> list[ProjectivePoint]:
@@ -543,14 +584,25 @@ def orbit_multiplier(f: RationalMap, start, n: int) -> complex:
     """Multiplier of f^n at a point fixed by f^n: chain rule over the orbit.
 
     The last step closes the loop in the starting point's chart, so the
-    chart transitions telescope away exactly.
+    chart transitions telescope away exactly. The value is inf where f^n
+    sends the point to the pole of that chart.
     """
-    pts = orbit(f, start, n)
-    lam = 1.0 + 0.0j
-    for i in range(n):
-        dst = pts[0] if i == n - 1 else pts[i + 1]
-        lam *= step_derivative(f, pts[i], dst)
+    lam = complex(_OrbitDifferentials(f).multipliers(n, [as_point(start)])[0])
+    if cmath.isnan(lam):
+        raise DegenerateMap("map evaluation collapsed to 0/0")
     return lam
+
+
+def derivative_at(f: RationalMap, point) -> complex:
+    """Chart-covariant derivative of f at a point.
+
+    The chart (z for |z| <= 1, w = 1/z otherwise) is applied on both
+    sides, so at a fixed point the value is the multiplier.
+    """
+    try:
+        return orbit_multiplier(f, point, 1)
+    except DegenerateMap:
+        raise IndeterminateDerivative("0/0 in both charts at this point") from None
 
 
 # ---------------------------------------------------------------------------

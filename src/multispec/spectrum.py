@@ -36,10 +36,10 @@ from .points import ProjectivePoint
 from .poly import (
     DEFAULT_MAX_ROOTS,
     RationalMap,
+    _OrbitDifferentials,
     compose,
     iterate,
-    orbit,
-    orbit_multiplier,
+    substitute_forms,
 )
 from .rootfind import RootConfig, binary_form_roots
 
@@ -50,6 +50,15 @@ DEFAULT_QUANTUM = 1e-6
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+
+
+def _fnv64(data: bytes) -> int:
+    """64-bit FNV-1a; spectrum fingerprints and catalog ids are stored with it."""
+    h = _FNV_OFFSET
+    for byte in data:
+        h ^= byte
+        h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -131,96 +140,7 @@ def fixed_point_form(f: RationalMap, n: int, max_roots: int = DEFAULT_MAX_ROOTS)
     return _fixed_form_of(iterate(f, n, max_roots))
 
 
-def _functional_residual(f: RationalMap, pt: ProjectivePoint, n: int) -> float:
-    return orbit(f, pt, n)[-1].chordal(pt)
-
-
-def _eval_form_vec(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Evaluate a form at many homogeneous points, chart chosen per point."""
-    m = len(c) - 1
-    out = np.empty(len(x), dtype=complex)
-    inner = np.abs(x) <= np.abs(y)
-    if np.any(inner):
-        xi, yi = x[inner], y[inner]
-        out[inner] = npoly.polyval(xi / yi, c) * yi**m
-    if np.any(~inner):
-        xo, yo = x[~inner], y[~inner]
-        out[~inner] = npoly.polyval(yo / xo, c[::-1]) * xo**m
-    return out
-
-
-class _OrbitDifferentials:
-    """Evaluates the level-n fixed-point polynomial and its derivative
-    through the orbit recursion rather than through the coefficients of
-    the iterate.
-
-    The homogeneous orbit step and its z-derivative are advanced
-    together under one shared renormalization, so the Newton ratio
-    F(z)/F'(z) of the fixed-point polynomial comes out at full precision
-    even where the iterate's monomial coefficients are numerically flat,
-    and orbits transiting infinity need no special treatment.
-    """
-
-    def __init__(self, f: RationalMap):
-        from .poly import _form_partial_x, _form_partial_y
-
-        self.f = f
-        self.degree = f.degree
-        # degree-d forms and their degree-(d-1) partials, stacked so one
-        # polyval call per chart evaluates a whole group
-        self.forms = np.column_stack([f.p, f.q])
-        self.forms_rev = self.forms[::-1].copy()
-        self.partials = np.column_stack([
-            _form_partial_x(f.p), _form_partial_y(f.p),
-            _form_partial_x(f.q), _form_partial_y(f.q),
-        ])
-        self.partials_rev = self.partials[::-1].copy()
-
-    def _step_values(self, x: np.ndarray, y: np.ndarray):
-        """(P, Q, P_X, P_Y, Q_X, Q_Y) at all points, chart per point."""
-        d = self.degree
-        inner = np.abs(x) <= np.abs(y)
-        outer = ~inner
-        vals = np.empty((6, len(x)), dtype=complex)
-        xi, yi = x[inner], y[inner]
-        u = np.where(yi == 0, 0.0, xi / np.where(yi == 0, 1.0, yi))
-        vals[0:2, inner] = npoly.polyval(u, self.forms) * yi**d
-        vals[2:6, inner] = npoly.polyval(u, self.partials) * yi ** (d - 1)
-        xo, yo = x[outer], y[outer]
-        w = yo / xo
-        vals[0:2, outer] = npoly.polyval(w, self.forms_rev) * xo**d
-        vals[2:6, outer] = npoly.polyval(w, self.partials_rev) * xo ** (d - 1)
-        return vals
-
-    def newton_data(self, n: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per point: F(z)/F'(z) of the fixed-point polynomial, and the
-        chordal residual between f^n(z) and z. Non-finite cases come back
-        as ratio 0 with residual inf."""
-        z = np.asarray(z, dtype=complex)
-        x = z.copy()
-        y = np.ones_like(x)
-        dx = np.ones_like(x)
-        dy = np.zeros_like(x)
-        for _ in range(n):
-            pv, qv, vpx, vpy, vqx, vqy = self._step_values(x, y)
-            dx, dy = vpx * dx + vpy * dy, vqx * dx + vqy * dy
-            x, y = pv, qv
-            s = np.maximum(np.abs(x), np.abs(y))
-            s = np.where((s == 0) | ~np.isfinite(s), 1.0, s)
-            x, y, dx, dy = x / s, y / s, dx / s, dy / s
-        num = x - z * y
-        den = dx - y - z * dy
-        bad = (den == 0) | ~np.isfinite(num) | ~np.isfinite(den)
-        ratio = np.where(bad, 0.0, num / np.where(bad, 1.0, den))
-        # chordal distance between (x, y) and (z, 1)
-        residual = np.abs(x - y * z) / np.sqrt(
-            (np.abs(x) ** 2 + np.abs(y) ** 2) * (np.abs(z) ** 2 + 1.0)
-        )
-        residual = np.where(np.isfinite(residual), residual, np.inf)
-        return ratio, residual
-
-
-def _functional_aberth_polish(f: RationalMap, n: int, approx: list[complex],
+def _functional_aberth_polish(engine: _OrbitDifferentials, n: int, approx: list[complex],
                               held: list[tuple[complex, int]] | None = None,
                               max_iter: int | None = None,
                               target: float = 1e-13) -> tuple[np.ndarray, np.ndarray]:
@@ -240,7 +160,6 @@ def _functional_aberth_polish(f: RationalMap, n: int, approx: list[complex],
     if max_iter is None:
         # herding a fully garbage seed set takes a couple of sweeps per point
         max_iter = max(200, 2 * m)
-    engine = _OrbitDifferentials(f)
     held = held or []
     frozen = np.zeros(m, dtype=bool)
     res_all = np.full(m, np.inf)
@@ -323,53 +242,6 @@ _SEED_ROOT_CFG = RootConfig(residual_tol=math.inf)
 _FUNCTIONAL_GATE = 1e-7
 
 
-def _orbit_multipliers(f: RationalMap, pts: list[ProjectivePoint], n: int) -> np.ndarray:
-    """Chain-rule multipliers of f^n at many points at once.
-
-    Chart transitions per step follow each point's own modulus; the last
-    step closes the loop in the starting chart so the transitions
-    telescope away, exactly as in orbit_multiplier.
-    """
-    m = len(pts)
-    if m == 0:
-        return np.zeros(0, dtype=complex)
-    x = np.array([p.x for p in pts], dtype=complex)
-    y = np.array([p.y for p in pts], dtype=complex)
-    start_is_z = np.abs(x) <= np.abs(y)
-    arrays = {
-        (True, True): (f.p, f.q),
-        (True, False): (f.q, f.p),
-        (False, True): (f.p[::-1].copy(), f.q[::-1].copy()),
-        (False, False): (f.q[::-1].copy(), f.p[::-1].copy()),
-    }
-    ders = {k: (npoly.polyder(v[0]), npoly.polyder(v[1])) for k, v in arrays.items()}
-    lam = np.ones(m, dtype=complex)
-    for i in range(n):
-        src_is_z = np.abs(x) <= np.abs(y)
-        xx = _eval_form_vec(f.p, x, y)
-        yy = _eval_form_vec(f.q, x, y)
-        s = np.maximum(np.abs(xx), np.abs(yy))
-        s = np.where((s == 0) | ~np.isfinite(s), 1.0, s)
-        xx, yy = xx / s, yy / s
-        dst_is_z = start_is_z if i == n - 1 else (np.abs(xx) <= np.abs(yy))
-        u = np.where(src_is_z,
-                     x / np.where(y == 0, 1.0, y),
-                     y / np.where(x == 0, 1.0, x))
-        for key, (num, den) in arrays.items():
-            mask = (src_is_z == key[0]) & (dst_is_z == key[1])
-            if not np.any(mask):
-                continue
-            uu = u[mask]
-            nv = npoly.polyval(uu, num)
-            dv = npoly.polyval(uu, den)
-            ndv = npoly.polyval(uu, ders[key][0])
-            ddv = npoly.polyval(uu, ders[key][1])
-            dv_safe = np.where(dv == 0, np.nan, dv)
-            lam[mask] *= (ndv * dv - nv * ddv) / (dv_safe * dv_safe)
-        x, y = xx, yy
-    return lam
-
-
 def _chordal_matrix(z: np.ndarray) -> np.ndarray:
     """Pairwise chordal distances of affine points."""
     w = 1.0 / np.sqrt(1.0 + np.abs(z) ** 2)
@@ -381,6 +253,7 @@ def _periodic_points_from(f: RationalMap, g: RationalMap, n: int,
                           cfg: RootConfig | None = None) -> PeriodicPointSet:
     form = _fixed_form_of(g)
     rs = binary_form_roots(form, g.degree + 1, cfg or _SEED_ROOT_CFG)
+    engine = _OrbitDifferentials(f)
 
     inf_roots = [r for r in rs.roots if r.location.is_infinite]
     seeds: list[complex] = []
@@ -396,7 +269,7 @@ def _periodic_points_from(f: RationalMap, g: RationalMap, n: int,
         # (multiplier exactly 1); anything else is distinct roots the
         # cluster radius glued together, so split them back into seeds
         # and let the repulsion pull them apart
-        lam = orbit_multiplier(f, r.location, n)
+        lam = engine.multipliers(n, [r.location])[0]
         if abs(lam - 1.0) <= 1e-3:
             held.append((z, r.multiplicity))
         else:
@@ -407,10 +280,9 @@ def _periodic_points_from(f: RationalMap, g: RationalMap, n: int,
 
     locations: list[ProjectivePoint] = []
     if seeds:
-        engine = _OrbitDifferentials(f)
         seed_arr = np.array(seeds, dtype=complex)
         _, res_seed = engine.newton_data(n, seed_arr)
-        polished, res_new = _functional_aberth_polish(f, n, seeds, held)
+        polished, res_new = _functional_aberth_polish(engine, n, seeds, held)
         keep_new = res_new <= res_seed
         final = np.where(keep_new, polished, seed_arr)
         res_final = np.where(keep_new, res_new, res_seed)
@@ -435,7 +307,7 @@ def _periodic_points_from(f: RationalMap, g: RationalMap, n: int,
     all_points: list[tuple[ProjectivePoint, int]] = [(loc, 1) for loc in locations]
     all_points.extend((ProjectivePoint.from_affine(z), mult) for z, mult in held)
     all_points.extend((r.location, r.multiplicity) for r in inf_roots)
-    lams = _orbit_multipliers(f, [loc for loc, _ in all_points], n)
+    lams = engine.multipliers(n, [loc for loc, _ in all_points])
     pts = [PeriodicPoint(loc, mult, complex(lam))
            for (loc, mult), lam in zip(all_points, lams)]
     pps = PeriodicPointSet(n, tuple(pts))
@@ -473,8 +345,14 @@ def spectrum_level(f: RationalMap, n: int, max_roots: int = DEFAULT_MAX_ROOTS,
     return tuple(elementary_symmetric(pps.multipliers()))
 
 
-def _level_data(f: RationalMap, max_period: int, max_roots: int,
-                cfg: RootConfig | None) -> list[PeriodicPointSet]:
+def periodic_point_levels(f: RationalMap, max_period: int,
+                          max_roots: int = DEFAULT_MAX_ROOTS,
+                          cfg: RootConfig | None = None) -> list[PeriodicPointSet]:
+    """Periodic point sets for every level 1..max_period.
+
+    One composition chain serves all levels, so this is much cheaper
+    than calling periodic_points per level.
+    """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
     if f.degree**max_period + 1 > max_roots:
@@ -490,34 +368,29 @@ def _level_data(f: RationalMap, max_period: int, max_roots: int,
     return out
 
 
-def periodic_point_levels(f: RationalMap, max_period: int,
-                          max_roots: int = DEFAULT_MAX_ROOTS,
-                          cfg: RootConfig | None = None) -> list[PeriodicPointSet]:
-    """Periodic point sets for every level 1..max_period.
+def _multiplier_spectrum(degree: int, data: list[PeriodicPointSet]) -> MultiplierSpectrum:
+    levels = tuple(tuple(elementary_symmetric(pps.multipliers())) for pps in data)
+    return MultiplierSpectrum(degree, len(data), levels)
 
-    One composition chain serves all levels, so this is much cheaper
-    than calling periodic_points per level.
-    """
-    return _level_data(f, max_period, max_roots, cfg)
+
+def _length_spectrum(degree: int, data: list[PeriodicPointSet]) -> LengthSpectrum:
+    levels = tuple(
+        tuple(x.real for x in elementary_symmetric([abs(l) for l in pps.multipliers()]))
+        for pps in data
+    )
+    return LengthSpectrum(degree, len(data), levels)
 
 
 def spectrum(f: RationalMap, max_period: int, max_roots: int = DEFAULT_MAX_ROOTS,
              cfg: RootConfig | None = None) -> MultiplierSpectrum:
     """Levels 1..max_period of the multiplier spectrum."""
-    data = _level_data(f, max_period, max_roots, cfg)
-    levels = tuple(tuple(elementary_symmetric(pps.multipliers())) for pps in data)
-    return MultiplierSpectrum(f.degree, max_period, levels)
+    return _multiplier_spectrum(f.degree, periodic_point_levels(f, max_period, max_roots, cfg))
 
 
 def length_spectrum(f: RationalMap, max_period: int, max_roots: int = DEFAULT_MAX_ROOTS,
                     cfg: RootConfig | None = None) -> LengthSpectrum:
     """Same construction applied to the multiplier moduli."""
-    data = _level_data(f, max_period, max_roots, cfg)
-    levels = tuple(
-        tuple(x.real for x in elementary_symmetric([abs(l) for l in pps.multipliers()]))
-        for pps in data
-    )
-    return LengthSpectrum(f.degree, max_period, levels)
+    return _length_spectrum(f.degree, periodic_point_levels(f, max_period, max_roots, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -552,24 +425,11 @@ def _iterate_forms_extended(f: RationalMap, n: int):
     composition chain in extended precision keeps the oracle's own error
     below the comparison tolerances.
     """
-    p = f.p.astype(_ORACLE_DTYPE)
-    q = f.q.astype(_ORACLE_DTYPE)
-    base_p, base_q = p.copy(), q.copy()
-    d = f.degree
+    base_p = f.p.astype(_ORACLE_DTYPE)
+    base_q = f.q.astype(_ORACLE_DTYPE)
+    p, q = base_p, base_q
     for _ in range(n - 1):
-        m = d
-        p_pows = [np.ones(1, dtype=_ORACLE_DTYPE)]
-        q_pows = [np.ones(1, dtype=_ORACLE_DTYPE)]
-        for _ in range(m):
-            p_pows.append(np.convolve(p_pows[-1], p))
-            q_pows.append(np.convolve(q_pows[-1], q))
-        size = m * (len(p) - 1) + 1
-        new_p = np.zeros(size, dtype=_ORACLE_DTYPE)
-        new_q = np.zeros(size, dtype=_ORACLE_DTYPE)
-        for k in range(m + 1):
-            mixed = np.convolve(p_pows[k], q_pows[m - k])
-            new_p[: len(mixed)] += base_p[k] * mixed
-            new_q[: len(mixed)] += base_q[k] * mixed
+        new_p, new_q = substitute_forms(base_p, base_q, p, q)
         scale = max(float(np.max(np.abs(new_p))), float(np.max(np.abs(new_q))))
         p, q = new_p / scale, new_q / scale
     return p, q
@@ -646,9 +506,8 @@ def power_sums_oracle(f: RationalMap, n: int, kmax: int,
 
 def _solve_extended(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     """b^{-1} a by Gaussian elimination in the widest complex dtype."""
-    dtype = np.clongdouble if np.finfo(np.clongdouble).precision > 15 else complex
-    m = b.astype(dtype).copy()
-    rhs = a.astype(dtype).copy()
+    m = b.astype(_ORACLE_DTYPE)
+    rhs = a.astype(_ORACLE_DTYPE)
     n = len(m)
     for col in range(n):
         pivot = col + int(np.argmax(np.abs(m[col:, col])))
@@ -775,14 +634,9 @@ def fingerprint(s: MultiplierSpectrum, quantum: float = DEFAULT_QUANTUM) -> Spec
     """Stable 64-bit FNV-1a digest of the quantized spectrum."""
     if quantum <= 0:
         raise ValueError("quantum must be positive")
-    digest = _FNV_OFFSET
-    for level in s.levels:
-        for e in level:
-            qre, qim, exp2 = _quantize_entry(e, quantum)
-            for byte in struct.pack("<qqq", qre, qim, exp2):
-                digest ^= byte
-                digest = (digest * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return SpectrumFingerprint(digest, quantum)
+    data = b"".join(struct.pack("<qqq", *_quantize_entry(e, quantum))
+                    for level in s.levels for e in level)
+    return SpectrumFingerprint(_fnv64(data), quantum)
 
 
 # ---------------------------------------------------------------------------

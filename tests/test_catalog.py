@@ -13,7 +13,7 @@ from multispec import (
     rational_map_from_text,
     spectrum,
 )
-from multispec.catalog import HEADER, make_entry
+from multispec.catalog import HEADER, entry_id, make_entry
 from multispec.parser import format_map
 
 STAMP = "2026-08-08T00:00:00+00:00"
@@ -26,6 +26,11 @@ def store(tmp_path):
 
 def fp_of(text, max_period):
     return fingerprint(spectrum(rational_map_from_text(text), max_period))
+
+
+def test_entry_id_is_pinned():
+    # ids are stored in v1 catalogs; a change here orphans every store
+    assert entry_id("z^4+1", 4, 3, 1e-6) == "8ede694348028566"
 
 
 class TestAdd:

@@ -1,6 +1,13 @@
+import importlib
+
 import pytest
 
+import multispec.cli
 from multispec.cli import main
+from multispec.rootfind import RootConfig
+
+# the package attribute `multispec.spectrum` is the function, not the module
+spectrum_module = importlib.import_module("multispec.spectrum")
 
 STAMP = "2026-08-08T00:00:00+00:00"
 
@@ -31,6 +38,21 @@ class TestSpectrumCommand:
         code, out, _ = run(capsys, "spectrum", "z^2", "--max-period", "1", "--length")
         assert code == 0
         assert "length 1: 2, 0, 0" in out
+
+    def test_length_flag_shares_one_level_pass(self, capsys, monkeypatch):
+        calls = []
+        compose = spectrum_module.compose
+
+        def counting(f, g):
+            calls.append(1)
+            return compose(f, g)
+
+        monkeypatch.setattr(spectrum_module, "compose", counting)
+        code, out, _ = run(capsys, "spectrum", "z^2-1", "--max-period", "3", "--length",
+                           "--format", "records")
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()].count("length") == 3
+        assert len(calls) == 2  # levels 2 and 3, each composed once
 
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run(capsys, "spectrum", "z^2 +")
@@ -98,6 +120,21 @@ class TestClassifyCommand:
     def test_escaping(self, capsys):
         code, out, _ = run(capsys, "classify", "z^2+1")
         assert code == 0 and "not_pcf_within_budget" in out
+
+    def test_from_spectrum_uses_root_options(self, capsys, monkeypatch):
+        seen = []
+        spectrum = multispec.cli.spectrum
+
+        def recording(f, max_period, max_roots, cfg=None):
+            seen.append(cfg)
+            return spectrum(f, max_period, max_roots, cfg)
+
+        monkeypatch.setattr(multispec.cli, "spectrum", recording)
+        code, out, _ = run(capsys, "classify", "z^2-1", "--max-period", "2",
+                           "--from-spectrum", "--residual-tol", "1e-9",
+                           "--cluster-radius", "1e-6")
+        assert code == 0 and "agrees=True" in out
+        assert seen == [RootConfig(residual_tol=1e-9, cluster_radius=1e-6)]
 
 
 class TestFiberScanCommand:

@@ -141,6 +141,19 @@ class TestDerivative:
         assert derivative_at(f, 0.0) == pytest.approx(3.0)
         assert derivative_at(f, ProjectivePoint.infinity()) == pytest.approx(5.0)
 
+    def test_pole_is_infinite(self):
+        f = rational_map_from_text("(z^2+1)/(z-1)")
+        assert derivative_at(f, 1.0) == complex(np.inf, 0.0)
+
+    def test_outer_chart_away_from_fixed_points(self):
+        # |z| > 1: the derivative of w -> 1/f(1/w), i.e. f'(z) / (f(z)^2 w^2)
+        f = rational_map_from_text("(z^2+1)/(z-1)")
+        z = 3 + 1j
+        fz = (z**2 + 1) / (z - 1)
+        dfz = (2 * z * (z - 1) - (z**2 + 1)) / (z - 1) ** 2
+        expected = dfz / (fz**2 * (1 / z) ** 2)
+        assert abs(derivative_at(f, z) - expected) <= 1e-14 * abs(expected)
+
 
 class TestCriticalData:
     def test_square(self):

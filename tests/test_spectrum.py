@@ -20,6 +20,7 @@ from multispec import (
     make_map,
     milnor_quadratic,
     newton_to_elementary,
+    orbit_multiplier,
     periodic_points,
     power_map,
     power_sums_oracle,
@@ -90,6 +91,27 @@ class TestPeriodicPoints:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             periodic_points(power_map(2), 12)
+
+
+class TestOrbitMultipliers:
+    def test_unit_circle_cycles(self):
+        # every repelling level-7 point of z^2 lies on |z| = 1, where the
+        # chart choice is a coin toss between rounding-equal moduli
+        pps = periodic_points(power_map(2), 7)
+        repelling = [p.multiplier for p in pps.points if abs(p.multiplier) > 1]
+        assert len(repelling) == 127
+        assert max(abs(lam - 128) for lam in repelling) <= 1e-9
+
+    def test_superattracting_relative_accuracy(self):
+        f = conjugate(rational_map_from_text("z^2-1"), random_mobius(99))
+        pps = periodic_points(f, 3)
+        assert min(abs(p.multiplier) for p in pps.points) < 1e-30
+
+    def test_cycle_through_infinity(self):
+        f = rational_map_from_text("1/z^2")
+        assert orbit_multiplier(f, 0, 2) == 0
+        at_infinity = [p for p in periodic_points(f, 2).points if p.location.is_infinite]
+        assert len(at_infinity) == 1 and at_infinity[0].multiplier == 0
 
 
 class TestSpectrumGoldens:
@@ -281,6 +303,16 @@ class TestFingerprint:
     def test_quantum_validation(self):
         with pytest.raises(ValueError):
             fingerprint(spectrum(power_map(2), 1), quantum=0.0)
+
+    @pytest.mark.parametrize("text, max_period, digest", [
+        ("z^2-1", 2, "9e0103ecfc2fa174"),
+        ("z^4+1", 3, "a08ab888abba5d49"),
+        ("(z^2+1)^2", 3, "a08ab888abba5d49"),
+    ])
+    def test_digest_is_pinned(self, text, max_period, digest):
+        # digests are stored in v1 catalogs; a change here orphans every store
+        s = spectrum(rational_map_from_text(text), max_period)
+        assert fingerprint(s).hex_digest == digest
 
 
 class TestDisjointTypeFromSpectrum:
