@@ -32,6 +32,7 @@ from .errors import (
     MapSyntaxError,
     MultispecError,
     NoConvergence,
+    NonFiniteSpectrum,
     NotRealizable,
     ParabolicPresent,
     ShapeMismatch,
@@ -84,7 +85,7 @@ from .poly import (
     rational_map_from_text,
     sylvester_resultant,
 )
-from .rootfind import Root, RootConfig, RootSet, binary_form_roots, roots
+from .rootfind import Root, RootSet, binary_form_roots, roots
 from .spectrum import (
     DisjointType,
     LengthSpectrum,

@@ -15,7 +15,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import CorruptEntry, DuplicateId
-from .poly import rational_map_from_text
+from .parser import format_map
+from .poly import DEFAULT_MAX_ROOTS, rational_map_from_text
 from .spectrum import (
     DEFAULT_QUANTUM,
     SpectrumFingerprint,
@@ -24,7 +25,6 @@ from .spectrum import (
     quantized_levels,
     spectrum,
 )
-from .poly import DEFAULT_MAX_ROOTS
 
 HEADER = "#multispec-catalog v1"
 FIELD_ORDER = [
@@ -96,8 +96,6 @@ def entry_for_map(map_text: str, max_period: int,
     The stored map_text is the canonical rendering of the parsed map, so
     equal maps written differently get equal ids.
     """
-    from .parser import format_map
-
     f = rational_map_from_text(map_text)
     canonical = format_map(f)
     s = spectrum(f, max_period, max_roots)

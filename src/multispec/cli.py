@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import fcntl
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +21,12 @@ from . import catalog as cat
 from . import families as fam
 from . import pcf
 from .spectrum import (
-    SpectrumFingerprint,
+    DEFAULT_QUANTUM,
     _length_spectrum,
     _multiplier_spectrum,
     compare_spectra,
     disjoint_type_from_spectrum,
+    fingerprint,
     periodic_point_levels,
     spectrum,
     spectrum_level,
@@ -41,6 +41,7 @@ from .errors import (
     InconsistentZeroCounts,
     MapSyntaxError,
     NoConvergence,
+    NonFiniteSpectrum,
     NotRealizable,
     ParabolicPresent,
     ShapeMismatch,
@@ -50,7 +51,6 @@ from .errors import (
 )
 from .parser import format_map, parse_complex
 from .poly import DEFAULT_MAX_ROOTS, rational_map_from_text
-from .rootfind import RootConfig
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
@@ -69,6 +69,7 @@ _USAGE_ERRORS = (
 )
 _NUMERIC_ERRORS = (
     NoConvergence,
+    NonFiniteSpectrum,
     BudgetExceeded,
     SingularReduction,
     ParabolicPresent,
@@ -77,52 +78,16 @@ _NUMERIC_ERRORS = (
 )
 
 
-@dataclass
-class RunConfig:
-    max_period: int = 3
-    tol: float = 1e-8
-    quantum: float = 1e-6
-    seed: int = 0
-    max_roots: int = DEFAULT_MAX_ROOTS
-    residual_tol: float | None = None  # None: library default
-    cluster_radius: float | None = None
-    output_format: str = "table"
-
-    def validate(self):
-        if self.max_period < 1:
-            raise ValueError("--max-period must be >= 1")
-        for name in ("tol", "quantum", "residual_tol", "cluster_radius"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"--{name.replace('_', '-')} must be positive")
-        if self.max_roots < 3:
-            raise ValueError("--max-roots must be >= 3")
-
-    @property
-    def root_config(self) -> RootConfig | None:
-        """Explicit root-finder settings, or None for pipeline defaults."""
-        if self.residual_tol is None and self.cluster_radius is None:
-            return None
-        base = RootConfig()
-        return RootConfig(
-            residual_tol=self.residual_tol if self.residual_tol is not None else base.residual_tol,
-            cluster_radius=self.cluster_radius if self.cluster_radius is not None else base.cluster_radius,
-        )
-
-
-def _config_from(args) -> RunConfig:
-    cfg = RunConfig(
-        max_period=getattr(args, "max_period", 3),
-        tol=getattr(args, "tol", 1e-8),
-        quantum=getattr(args, "quantum", 1e-6),
-        seed=getattr(args, "seed", 0),
-        max_roots=getattr(args, "max_roots", DEFAULT_MAX_ROOTS),
-        residual_tol=getattr(args, "residual_tol", None),
-        cluster_radius=getattr(args, "cluster_radius", None),
-        output_format=getattr(args, "format", "table"),
-    )
-    cfg.validate()
-    return cfg
+def _validate(args):
+    """Reject bad option values; options a command lacks are not in `args`."""
+    opts = vars(args)
+    if opts.get("max_period", 1) < 1:
+        raise ValueError("--max-period must be >= 1")
+    for name in ("tol", "quantum"):
+        if opts.get(name, 1.0) <= 0:
+            raise ValueError(f"--{name} must be positive")
+    if opts.get("max_roots", 3) < 3:
+        raise ValueError("--max-roots must be >= 3")
 
 
 def _fmt_real(x: float) -> str:
@@ -145,13 +110,12 @@ def _emit_record(kind: str, fields: list[tuple[str, str]]):
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(args) -> int:
-    cfg = _config_from(args)
     f = rational_map_from_text(args.map)
     # one level pass serves both records
-    data = periodic_point_levels(f, cfg.max_period, cfg.max_roots, cfg.root_config)
+    data = periodic_point_levels(f, args.max_period, args.max_roots)
     s = _multiplier_spectrum(f.degree, data)
     lengths = _length_spectrum(f.degree, data) if args.length else None
-    if cfg.output_format == "records":
+    if args.format == "records":
         _emit_record("map", [("text", format_map(f)), ("degree", str(f.degree))])
         for n, level in enumerate(s.levels, start=1):
             values = ",".join(_fmt_complex(e) for e in level)
@@ -184,22 +148,21 @@ def _fmt_short(z: complex) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_compare(args) -> int:
-    cfg = _config_from(args)
     f = rational_map_from_text(args.map1)
     g = rational_map_from_text(args.map2)
-    sf = spectrum(f, cfg.max_period, cfg.max_roots, cfg.root_config)
-    sg = spectrum(g, cfg.max_period, cfg.max_roots, cfg.root_config)
-    equal, dist = compare_spectra(sf, sg, cfg.tol)
-    if cfg.output_format == "records":
+    sf = spectrum(f, args.max_period, args.max_roots)
+    sg = spectrum(g, args.max_period, args.max_roots)
+    equal, dist = compare_spectra(sf, sg, args.tol)
+    if args.format == "records":
         _emit_record("compare", [
             ("map1", format_map(f)), ("map2", format_map(g)),
-            ("max_period", str(cfg.max_period)), ("tol", _fmt_real(cfg.tol)),
+            ("max_period", str(args.max_period)), ("tol", _fmt_real(args.tol)),
             ("equal", "true" if equal else "false"), ("distance", _fmt_real(dist)),
         ])
     else:
         verdict = "EQUAL" if equal else "DIFFERENT"
-        print(f"{verdict} (distance {dist:.3e}, tol {cfg.tol:.1e}, "
-              f"max_period {cfg.max_period})")
+        print(f"{verdict} (distance {dist:.3e}, tol {args.tol:.1e}, "
+              f"max_period {args.max_period})")
     return 0 if equal else 1
 
 
@@ -236,10 +199,9 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_classify(args) -> int:
-    cfg = _config_from(args)
     f = rational_map_from_text(args.map)
-    result = pcf.classify_disjoint_type(f, cfg.max_period)
-    if cfg.output_format == "records":
+    result = pcf.classify_disjoint_type(f, args.max_period)
+    if args.format == "records":
         periods = ""
         if result.disjoint_type is not None:
             periods = ",".join(str(p) for p in result.disjoint_type.periods)
@@ -255,12 +217,12 @@ def cmd_classify(args) -> int:
             cyc = f"period {ev.cycle.exact_period}" if ev.cycle else "none"
             print(f"  critical point {ev.critical_point}: {ev.fate.value} (cycle {cyc})")
     if args.from_spectrum:
-        s = spectrum(f, cfg.max_period, cfg.max_roots, cfg.root_config)
+        s = spectrum(f, args.max_period, args.max_roots)
         recovered = disjoint_type_from_spectrum(s)
         agrees = (result.status is pcf.Classification.DISJOINT_TYPE
                   and result.disjoint_type == recovered) or \
                  (result.status is not pcf.Classification.DISJOINT_TYPE)
-        if cfg.output_format == "records":
+        if args.format == "records":
             _emit_record("from_spectrum", [
                 ("periods", ",".join(str(p) for p in recovered.periods)),
                 ("complete", "true" if recovered.complete else "false"),
@@ -277,7 +239,6 @@ def cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_fiber_scan(args) -> int:
-    cfg = _config_from(args)
     if args.degree != 2:
         raise ValueError("fiber scans support degree 2 only")
     n = args.grid
@@ -294,7 +255,7 @@ def cmd_fiber_scan(args) -> int:
             point = fam.MilnorPoint(complex(s1), complex(s2), complex(s1 - 2.0))
             try:
                 m = fam.invert_sigma(point)
-                level = spectrum_level(m, 1, cfg.max_roots)
+                level = spectrum_level(m, 1, args.max_roots)
                 target = (point.sigma1, point.sigma2, point.sigma3)
                 err = max(
                     abs(a - b) / max(1.0, abs(a), abs(b))
@@ -306,7 +267,7 @@ def cmd_fiber_scan(args) -> int:
             except (DegenerateParameters, NotRealizable):
                 degenerate += 1
                 status, err_text = "degenerate", ""
-            if cfg.output_format == "records":
+            if args.format == "records":
                 _emit_record("cell", [
                     ("row", str(i)), ("col", str(j)),
                     ("s1", _fmt_real(s1)), ("s2", _fmt_real(s2)),
@@ -318,7 +279,7 @@ def cmd_fiber_scan(args) -> int:
         ("cells", str(n * n)), ("realizable", str(realizable)),
         ("degenerate", str(degenerate)), ("worst_roundtrip_err", _fmt_real(worst)),
     ]
-    if cfg.output_format == "records":
+    if args.format == "records":
         _emit_record("summary", summary)
     else:
         print("summary " + " ".join(f"{k}={v}" for k, v in summary))
@@ -330,12 +291,12 @@ def cmd_fiber_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_catalog(args) -> int:
-    cfg = _config_from(args)
+    records = args.format == "records"
     if args.action == "add":
         entry = cat.entry_for_map(
-            args.map, cfg.max_period, cfg.quantum,
+            args.map, args.max_period, args.quantum,
             tags=args.tags or (), created_at=args.created_at,
-            max_roots=cfg.max_roots,
+            max_roots=args.max_roots,
         )
         store = Path(args.store)
         if not store.exists():
@@ -347,36 +308,34 @@ def cmd_catalog(args) -> int:
                 entry_id = cat.catalog_add(store, entry)
             finally:
                 fcntl.flock(lock_handle, fcntl.LOCK_UN)
-        if cfg.output_format == "records":
+        if records:
             _emit_record("added", [("id", entry_id), ("map", entry.map_text),
                                    ("digest", entry.digest)])
         else:
             print(f"added {entry_id} ({entry.map_text}, digest {entry.digest})")
         return 0
     if args.action == "query":
-        probe = cat.entry_for_map(args.map, cfg.max_period, cfg.quantum,
-                                  created_at="1970-01-01T00:00:00+00:00",
-                                  max_roots=cfg.max_roots)
-        fp = SpectrumFingerprint(int(probe.digest, 16), probe.quantum)
-        result = cat.catalog_query(args.store, fp, probe.degree, cfg.max_period)
-        _report_skipped(result.skipped, cfg)
-        if cfg.output_format == "records":
+        f = rational_map_from_text(args.map)
+        fp = fingerprint(spectrum(f, args.max_period, args.max_roots), args.quantum)
+        result = cat.catalog_query(args.store, fp, f.degree, args.max_period)
+        _report_skipped(result.skipped, records)
+        if records:
             for e in result.entries:
                 _emit_record("hit", [("id", e.id), ("map", e.map_text),
                                      ("degree", str(e.degree)),
                                      ("max_period", str(e.max_period)),
                                      ("digest", e.digest)])
-            _emit_record("query", [("digest", probe.digest),
+            _emit_record("query", [("digest", fp.hex_digest),
                                    ("hits", str(len(result.entries)))])
         else:
             for e in result.entries:
                 print(f"hit {e.id} {e.map_text}")
-            print(f"{len(result.entries)} hit(s) for digest {probe.digest}")
+            print(f"{len(result.entries)} hit(s) for digest {fp.hex_digest}")
         return 0
     if args.action == "scan":
         result = cat.catalog_scan_collisions(args.store)
-        _report_skipped(result.skipped, cfg)
-        if cfg.output_format == "records":
+        _report_skipped(result.skipped, records)
+        if records:
             for gi, group in enumerate(result.groups):
                 for e in group:
                     _emit_record("collision", [("group", str(gi)), ("id", e.id),
@@ -393,9 +352,9 @@ def cmd_catalog(args) -> int:
     raise ValueError(f"unknown catalog action {args.action}")  # pragma: no cover
 
 
-def _report_skipped(skipped, cfg: RunConfig):
+def _report_skipped(skipped, records: bool):
     for line_no, reason in skipped:
-        if cfg.output_format == "records":
+        if records:
             _emit_record("skipped", [("line", str(line_no)), ("reason", f'"{reason}"')])
         else:
             print(f"warning: skipped corrupt line {line_no}: {reason}", file=sys.stderr)
@@ -418,10 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="highest period level to use")
         p.add_argument("--max-roots", dest="max_roots", type=int,
                        default=DEFAULT_MAX_ROOTS, help="periodic point budget")
-        p.add_argument("--residual-tol", dest="residual_tol", type=float,
-                       default=None, help="root finder residual tolerance")
-        p.add_argument("--cluster-radius", dest="cluster_radius", type=float,
-                       default=None, help="root multiplicity cluster radius")
         p.add_argument("--format", choices=("table", "records"), default="table",
                        help="human table or machine records")
 
@@ -478,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("add", "query", "scan"))
     p.add_argument("--store", required=True)
     p.add_argument("--map", help="map text (for add and query)")
-    p.add_argument("--quantum", type=float, default=1e-6)
+    p.add_argument("--quantum", type=float, default=DEFAULT_QUANTUM)
     p.add_argument("--tags", nargs="*", default=None)
     p.add_argument("--created-at", dest="created_at", default=None,
                    help="fixed RFC 3339 timestamp for reproducible stores")
@@ -494,6 +449,7 @@ def main(argv=None) -> int:
     if args.command == "catalog" and args.action in ("add", "query") and not args.map:
         parser.error("catalog add/query needs --map")
     try:
+        _validate(args)
         return args.func(args)
     except _NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -77,6 +77,10 @@ class InconsistentZeroCounts(MultispecError):
         self.remainder = remainder
 
 
+class NonFiniteSpectrum(MultispecError):
+    """A spectrum entry is inf or nan, so it cannot be quantized or compared."""
+
+
 class SpectraDiffer(MultispecError):
     """Precondition failure: the two spectra are not equal at tolerance."""
 

@@ -25,6 +25,7 @@ from .poly import (
     Polynomial,
     RationalMap,
     _as_coeff_array,
+    _eval_form,
     critical_data,
     orbit,
     orbit_multiplier,
@@ -237,22 +238,12 @@ def semiconjugacy_check(f: RationalMap, g: RationalMap, h,
             r = 2.0 * math.sqrt(rng.uniform())
             theta = rng.uniform(0.0, 2.0 * math.pi)
             z = ProjectivePoint.from_affine(complex(r * math.cos(theta), r * math.sin(theta)))
-            a = ProjectivePoint(
-                complex(_eval_pair(left[0], z)), complex(_eval_pair(left[1], z))
-            )
-            b = ProjectivePoint(
-                complex(_eval_pair(right[0], z)), complex(_eval_pair(right[1], z))
-            )
+            a = ProjectivePoint(_eval_form(left[0], z), _eval_form(left[1], z))
+            b = ProjectivePoint(_eval_form(right[0], z), _eval_form(right[1], z))
             if a.chordal(b) > SAMPLED_WITNESS_TOL:
                 return False
         return True
     raise ValueError(f"unknown mode {mode!r}; use 'exact' or 'sampled'")
-
-
-def _eval_pair(c: np.ndarray, pt: ProjectivePoint) -> complex:
-    from .poly import _eval_form
-
-    return _eval_form(np.asarray(c, dtype=complex), pt)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from numpy.polynomial import polynomial as npoly
 from . import parser
 from .errors import BudgetExceeded, DegenerateMap, DegenerateTransform, DegreeTooLow, IndeterminateDerivative
 from .points import ProjectivePoint, as_point
-from .rootfind import RootConfig, binary_form_roots, roots
+from .rootfind import binary_form_roots, roots
 
 EPS_DEGENERATE = 1e-12
 LOG_EPS_DEGENERATE = math.log(EPS_DEGENERATE)
@@ -278,7 +278,7 @@ def _finalize(p: np.ndarray, q: np.ndarray, degree: int,
     return RationalMap(p, q, degree, measured)
 
 
-def _approximate_gcd_reduce(num: np.ndarray, den: np.ndarray, cfg: RootConfig):
+def _approximate_gcd_reduce(num: np.ndarray, den: np.ndarray):
     """Remove common roots (within GCD_CLUSTER_RADIUS) from the pair.
 
     Returns the original arrays untouched when nothing cancels, so exact
@@ -287,8 +287,8 @@ def _approximate_gcd_reduce(num: np.ndarray, den: np.ndarray, cfg: RootConfig):
     dn, dd = _true_degree(num), _true_degree(den)
     if dn < 1 or dd < 1:
         return num, den
-    num_roots = list(roots(num[: dn + 1], cfg).roots)
-    den_roots = list(roots(den[: dd + 1], cfg).roots)
+    num_roots = list(roots(num[: dn + 1]).roots)
+    den_roots = list(roots(den[: dd + 1]).roots)
     num_mult = [r.multiplicity for r in num_roots]
     den_mult = [r.multiplicity for r in den_roots]
     cancelled = False
@@ -315,14 +315,13 @@ def _approximate_gcd_reduce(num: np.ndarray, den: np.ndarray, cfg: RootConfig):
     return rebuild(num_roots, num_mult, num, dn), rebuild(den_roots, den_mult, den, dd)
 
 
-def make_map(num, den, cfg: RootConfig | None = None) -> RationalMap:
+def make_map(num, den) -> RationalMap:
     """Construct a rational map from numerator and denominator.
 
     Common factors are cancelled numerically (approximate common roots
     within GCD_CLUSTER_RADIUS) before the pair is homogenized, jointly
     normalized, and checked for degeneracy.
     """
-    cfg = cfg or RootConfig()
     num = _as_coeff_array(num)
     den = _as_coeff_array(den)
     if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
@@ -333,18 +332,18 @@ def make_map(num, den, cfg: RootConfig | None = None) -> RationalMap:
         raise DegenerateMap("numerator is identically zero")
     num = num[: _true_degree(num) + 1]
     den = den[: _true_degree(den) + 1]
-    num, den = _approximate_gcd_reduce(num, den, cfg)
+    num, den = _approximate_gcd_reduce(num, den)
     degree = max(_true_degree(num), _true_degree(den))
     if degree < 2:
         raise DegreeTooLow(f"effective degree {degree} after reduction; need >= 2")
     return _finalize(num, den, degree)
 
 
-def rational_map_from_text(text: str, cfg: RootConfig | None = None) -> RationalMap:
+def rational_map_from_text(text: str) -> RationalMap:
     """Parse expression text and build the map it denotes."""
     tree = parser.parse_map(text)
     num, den = parser.expression_to_fraction(tree)
-    return make_map(num, den, cfg)
+    return make_map(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +636,7 @@ def _form_partial_y(c: np.ndarray) -> np.ndarray:
     return np.array([(m - j) * c[j] for j in range(m)], dtype=complex)
 
 
-def critical_data(f: RationalMap, cfg: RootConfig | None = None) -> CriticalData:
+def critical_data(f: RationalMap) -> CriticalData:
     """Critical points (Wronskian roots, multiplicity included) and values."""
     w = np.convolve(_form_partial_x(f.p), _form_partial_y(f.q)) - np.convolve(
         _form_partial_y(f.p), _form_partial_x(f.q)
@@ -645,7 +644,7 @@ def critical_data(f: RationalMap, cfg: RootConfig | None = None) -> CriticalData
     scale = float(np.max(np.abs(w)))
     if scale > 0:
         w = w / scale
-    rs = binary_form_roots(w, 2 * f.degree - 2, cfg)
+    rs = binary_form_roots(w, 2 * f.degree - 2)
     records = []
     for r in rs.roots:
         records.append(CriticalPoint(r.location, r.multiplicity, f.evaluate(r.location)))
@@ -661,6 +660,6 @@ def _count_distinct(points, tol: float = VALUE_CLUSTER_TOL) -> int:
     return len(reps)
 
 
-def is_simple(f: RationalMap, cfg: RootConfig | None = None) -> bool:
+def is_simple(f: RationalMap) -> bool:
     """True when f has the maximal number 2d-2 of distinct critical values."""
-    return critical_data(f, cfg).distinct_value_count == 2 * f.degree - 2
+    return critical_data(f).distinct_value_count == 2 * f.degree - 2

@@ -31,15 +31,9 @@ _EPS = float(np.finfo(float).eps)
 _START_ANGLE = 0.4810348602198763
 
 
-@dataclass(frozen=True)
-class RootConfig:
-    max_iter: int = 500
-    residual_tol: float = 1e-10
-    cluster_radius: float = 1e-7
-    newton_steps: int = 8
-
-
-DEFAULT_CONFIG = RootConfig()
+MAX_ITER = 500  # Aberth sweeps
+CLUSTER_RADIUS = 1e-7  # relative distance merged into one multiple root
+NEWTON_STEPS = 8  # polish steps per root and per cluster
 
 
 @dataclass(frozen=True)
@@ -156,7 +150,7 @@ def _relative_residuals(c, crev, z, scale):
     return res
 
 
-def _aberth(c: np.ndarray, cfg: RootConfig) -> np.ndarray:
+def _aberth(c: np.ndarray, residual_tol: float) -> np.ndarray:
     """Approximate all roots of c (ascending coeffs, c[0] != 0, deg >= 1)."""
     m = len(c) - 1
     if m == 1:
@@ -173,7 +167,7 @@ def _aberth(c: np.ndarray, cfg: RootConfig) -> np.ndarray:
     # never satisfy the step criterion alone)
     floor = 8.0 * m * _EPS
     done = np.zeros(m, dtype=bool)
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_ITER):
         w, res = _newton_correction(c, crev, dc, dcrev, z, scale)
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
@@ -188,10 +182,10 @@ def _aberth(c: np.ndarray, cfg: RootConfig) -> np.ndarray:
             break
 
     # per-root Newton polish
-    for _ in range(cfg.newton_steps):
+    for _ in range(NEWTON_STEPS):
         w, res = _newton_correction(c, crev, dc, dcrev, z, scale)
         z = z - w
-        if np.all(res <= 0.01 * cfg.residual_tol):
+        if np.all(res <= 0.01 * residual_tol):
             break
     return z
 
@@ -224,14 +218,14 @@ def _cluster(values: np.ndarray, radius: float) -> list[tuple[complex, int]]:
     return [(sum(cl) / len(cl), len(cl)) for cl in clusters]
 
 
-def roots(p, cfg: RootConfig | None = None) -> RootSet:
+def roots(p, residual_tol: float = 1e-10) -> RootSet:
     """All affine roots of p with multiplicities and relative residuals.
 
     Raises NoConvergence when the polished, clustered roots do not meet
     the residual tolerance; a partial answer would poison every
-    computation layered on top of this one.
+    computation layered on top of this one. With residual_tol=inf there
+    is no gate.
     """
-    cfg = cfg or DEFAULT_CONFIG
     coeffs = np.asarray(getattr(p, "coeffs", p), dtype=complex)
     coeffs = _trim_leading(coeffs)
     m = len(coeffs) - 1
@@ -251,8 +245,8 @@ def roots(p, cfg: RootConfig | None = None) -> RootSet:
     if zero_mult:
         found.append((0j, zero_mult))
     if len(core) > 1:
-        approx = _aberth(core, cfg)
-        clusters = _cluster(approx, cfg.cluster_radius)
+        approx = _aberth(core, residual_tol)
+        clusters = _cluster(approx, CLUSTER_RADIUS)
         crev_core = core[::-1].copy()
         dc_core = npoly.polyder(core)
         dcrev_core = npoly.polyder(crev_core)
@@ -268,7 +262,7 @@ def roots(p, cfg: RootConfig | None = None) -> RootSet:
                 best_res = float(
                     _relative_residuals(core, crev_core, zc, core_scale)[0]
                 )
-                for _ in range(cfg.newton_steps):
+                for _ in range(NEWTON_STEPS):
                     w, _ = _newton_correction(core, crev_core, dc_core, dcrev_core, zc, core_scale)
                     zc = zc - mult * w
                     res = float(
@@ -283,7 +277,7 @@ def roots(p, cfg: RootConfig | None = None) -> RootSet:
     centers = np.array([c for c, _ in found], dtype=complex)
     residuals = _relative_residuals(coeffs, crev, centers, scale)
     worst = float(residuals.max()) if len(residuals) else 0.0
-    if worst > cfg.residual_tol:
+    if worst > residual_tol:
         raise NoConvergence("root finder missed the residual tolerance", worst)
     out = [
         Root(ProjectivePoint.from_affine(center), mult, float(res))
@@ -293,7 +287,7 @@ def roots(p, cfg: RootConfig | None = None) -> RootSet:
     return RootSet(tuple(out))
 
 
-def binary_form_roots(form, degree: int | None = None, cfg: RootConfig | None = None) -> RootSet:
+def binary_form_roots(form, degree: int | None = None, residual_tol: float = 1e-10) -> RootSet:
     """Projective roots of a homogeneous form, infinity included.
 
     The form is given by its dehomogenized coefficient array (ascending);
@@ -303,7 +297,6 @@ def binary_form_roots(form, degree: int | None = None, cfg: RootConfig | None = 
     polynomial whose roots are all moderate (coefficient mass piles up
     in the middle), so no perceived smallness justifies dropping it.
     """
-    cfg = cfg or DEFAULT_CONFIG
     coeffs = np.asarray(getattr(form, "coeffs", form), dtype=complex)
     if degree is None:
         degree = len(coeffs) - 1
@@ -318,7 +311,7 @@ def binary_form_roots(form, degree: int | None = None, cfg: RootConfig | None = 
 
     parts: list[Root] = []
     if len(affine) > 1:
-        parts.extend(roots(affine, cfg).roots)
+        parts.extend(roots(affine, residual_tol).roots)
     if deficit > 0:
         parts.append(Root(ProjectivePoint.infinity(), deficit, 0.0))
     return RootSet(tuple(parts))

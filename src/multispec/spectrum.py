@@ -17,6 +17,7 @@ extraction anywhere.
 
 from __future__ import annotations
 
+import cmath
 import math
 import struct
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ from .errors import (
     BudgetExceeded,
     InconsistentZeroCounts,
     NoConvergence,
+    NonFiniteSpectrum,
     ParabolicPresent,
     ShapeMismatch,
     SingularReduction,
@@ -41,7 +43,7 @@ from .poly import (
     iterate,
     substitute_forms,
 )
-from .rootfind import RootConfig, binary_form_roots
+from .rootfind import binary_form_roots
 
 ZERO_TAIL_REL_TOL = 1e-6
 PARABOLIC_GUARD = 1e-6
@@ -141,9 +143,7 @@ def fixed_point_form(f: RationalMap, n: int, max_roots: int = DEFAULT_MAX_ROOTS)
 
 
 def _functional_aberth_polish(engine: _OrbitDifferentials, n: int, approx: list[complex],
-                              held: list[tuple[complex, int]] | None = None,
-                              max_iter: int | None = None,
-                              target: float = 1e-13) -> tuple[np.ndarray, np.ndarray]:
+                              held: list[tuple[complex, int]]) -> tuple[np.ndarray, np.ndarray]:
     """Joint polish of the simple affine periodic points.
 
     Simultaneous Ehrlich-Aberth iteration whose Newton ratio comes from
@@ -157,10 +157,9 @@ def _functional_aberth_polish(engine: _OrbitDifferentials, n: int, approx: list[
     m = len(z)
     if m == 0:
         return z, np.zeros(0)
-    if max_iter is None:
-        # herding a fully garbage seed set takes a couple of sweeps per point
-        max_iter = max(200, 2 * m)
-    held = held or []
+    # herding a fully garbage seed set takes a couple of sweeps per point
+    max_iter = max(200, 2 * m)
+    target = 1e-13
     frozen = np.zeros(m, dtype=bool)
     res_all = np.full(m, np.inf)
     best_worst = math.inf
@@ -231,13 +230,6 @@ def _functional_aberth_polish(engine: _OrbitDifferentials, n: int, approx: list[
     return z, res_all
 
 
-# Root extraction here only seeds the functional polish, which re-verifies
-# every simple point against f^n(z) = z itself; the residual the default
-# RootConfig demands is unreachable for fixed-point forms of deep iterates
-# whose coefficient mass concentrates (their values sit below evaluation
-# noise near the periodic points), and an occasional unconverged seed is
-# repaired by the polish rather than reported.
-_SEED_ROOT_CFG = RootConfig(residual_tol=math.inf)
 # post-polish functional gate: points worse than this are garbage
 _FUNCTIONAL_GATE = 1e-7
 
@@ -249,10 +241,16 @@ def _chordal_matrix(z: np.ndarray) -> np.ndarray:
     return d * w[:, None] * w[None, :]
 
 
-def _periodic_points_from(f: RationalMap, g: RationalMap, n: int,
-                          cfg: RootConfig | None = None) -> PeriodicPointSet:
+def _periodic_points_from(f: RationalMap, g: RationalMap, n: int) -> PeriodicPointSet:
     form = _fixed_form_of(g)
-    rs = binary_form_roots(form, g.degree + 1, cfg or _SEED_ROOT_CFG)
+    # Root extraction here only seeds the functional polish, which
+    # re-verifies every simple point against f^n(z) = z itself, so it runs
+    # with no residual gate: the root finder's default tolerance is
+    # unreachable for fixed-point forms of deep iterates whose coefficient
+    # mass concentrates (their values sit below evaluation noise near the
+    # periodic points), and an occasional unconverged seed is repaired by
+    # the polish rather than reported.
+    rs = binary_form_roots(form, g.degree + 1, residual_tol=math.inf)
     engine = _OrbitDifferentials(f)
 
     inf_roots = [r for r in rs.roots if r.location.is_infinite]
@@ -320,11 +318,11 @@ def _periodic_points_from(f: RationalMap, g: RationalMap, n: int,
     return pps
 
 
-def periodic_points(f: RationalMap, n: int, max_roots: int = DEFAULT_MAX_ROOTS,
-                    cfg: RootConfig | None = None) -> PeriodicPointSet:
+def periodic_points(f: RationalMap, n: int,
+                    max_roots: int = DEFAULT_MAX_ROOTS) -> PeriodicPointSet:
     """All d^n + 1 fixed points of f^n with multiplicities and multipliers."""
     g = iterate(f, n, max_roots)
-    return _periodic_points_from(f, g, n, cfg)
+    return _periodic_points_from(f, g, n)
 
 
 def elementary_symmetric(values) -> list[complex]:
@@ -338,16 +336,15 @@ def elementary_symmetric(values) -> list[complex]:
     return [complex(x) for x in e[1:]]
 
 
-def spectrum_level(f: RationalMap, n: int, max_roots: int = DEFAULT_MAX_ROOTS,
-                   cfg: RootConfig | None = None) -> tuple[complex, ...]:
+def spectrum_level(f: RationalMap, n: int,
+                   max_roots: int = DEFAULT_MAX_ROOTS) -> tuple[complex, ...]:
     """Elementary symmetric values of the level-n multiplier multiset."""
-    pps = periodic_points(f, n, max_roots, cfg)
+    pps = periodic_points(f, n, max_roots)
     return tuple(elementary_symmetric(pps.multipliers()))
 
 
 def periodic_point_levels(f: RationalMap, max_period: int,
-                          max_roots: int = DEFAULT_MAX_ROOTS,
-                          cfg: RootConfig | None = None) -> list[PeriodicPointSet]:
+                          max_roots: int = DEFAULT_MAX_ROOTS) -> list[PeriodicPointSet]:
     """Periodic point sets for every level 1..max_period.
 
     One composition chain serves all levels, so this is much cheaper
@@ -362,7 +359,7 @@ def periodic_point_levels(f: RationalMap, max_period: int,
     out = []
     g = f
     for n in range(1, max_period + 1):
-        out.append(_periodic_points_from(f, g, n, cfg))
+        out.append(_periodic_points_from(f, g, n))
         if n < max_period:
             g = compose(f, g)
     return out
@@ -381,16 +378,16 @@ def _length_spectrum(degree: int, data: list[PeriodicPointSet]) -> LengthSpectru
     return LengthSpectrum(degree, len(data), levels)
 
 
-def spectrum(f: RationalMap, max_period: int, max_roots: int = DEFAULT_MAX_ROOTS,
-             cfg: RootConfig | None = None) -> MultiplierSpectrum:
+def spectrum(f: RationalMap, max_period: int,
+             max_roots: int = DEFAULT_MAX_ROOTS) -> MultiplierSpectrum:
     """Levels 1..max_period of the multiplier spectrum."""
-    return _multiplier_spectrum(f.degree, periodic_point_levels(f, max_period, max_roots, cfg))
+    return _multiplier_spectrum(f.degree, periodic_point_levels(f, max_period, max_roots))
 
 
-def length_spectrum(f: RationalMap, max_period: int, max_roots: int = DEFAULT_MAX_ROOTS,
-                    cfg: RootConfig | None = None) -> LengthSpectrum:
+def length_spectrum(f: RationalMap, max_period: int,
+                    max_roots: int = DEFAULT_MAX_ROOTS) -> LengthSpectrum:
     """Same construction applied to the multiplier moduli."""
-    return _length_spectrum(f.degree, periodic_point_levels(f, max_period, max_roots, cfg))
+    return _length_spectrum(f.degree, periodic_point_levels(f, max_period, max_roots))
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +575,8 @@ def fixed_point_index_sum(pps: PeriodicPointSet) -> complex:
 
 def compare_spectra(a: MultiplierSpectrum, b: MultiplierSpectrum,
                     tol: float = 1e-8) -> tuple[bool, float]:
-    """Scaled sup-distance between spectra; equal iff distance <= tol."""
+    """Scaled sup-distance between spectra; equal iff distance <= tol.
+    An inf or nan entry has no distance and raises NonFiniteSpectrum."""
     if a.degree != b.degree or a.max_period != b.max_period:
         raise ShapeMismatch(
             f"cannot compare (d={a.degree}, n={a.max_period}) "
@@ -587,6 +585,8 @@ def compare_spectra(a: MultiplierSpectrum, b: MultiplierSpectrum,
     dist = 0.0
     for la, lb in zip(a.levels, b.levels):
         for ea, eb in zip(la, lb):
+            if not (cmath.isfinite(ea) and cmath.isfinite(eb)):
+                raise NonFiniteSpectrum(f"cannot compare spectrum entries {ea} and {eb}")
             dist = max(dist, abs(ea - eb) / max(1.0, abs(ea), abs(eb)))
     return dist <= tol, dist
 
@@ -607,6 +607,8 @@ def _quantize_entry(e: complex, quantum: float) -> tuple[int, int, int]:
     that agree to much better than the quantum, while still preserving
     magnitude information at relative resolution `quantum`.
     """
+    if not cmath.isfinite(e):
+        raise NonFiniteSpectrum(f"cannot quantize spectrum entry {e}")
     mag = abs(e)
     exp2 = int(round(math.log2(mag))) if mag > 1.0 else 0
     step = quantum * 2.0**exp2

@@ -2,9 +2,8 @@ import importlib
 
 import pytest
 
-import multispec.cli
+from multispec import format_map, random_map
 from multispec.cli import main
-from multispec.rootfind import RootConfig
 
 # the package attribute `multispec.spectrum` is the function, not the module
 spectrum_module = importlib.import_module("multispec.spectrum")
@@ -121,21 +120,6 @@ class TestClassifyCommand:
         code, out, _ = run(capsys, "classify", "z^2+1")
         assert code == 0 and "not_pcf_within_budget" in out
 
-    def test_from_spectrum_uses_root_options(self, capsys, monkeypatch):
-        seen = []
-        spectrum = multispec.cli.spectrum
-
-        def recording(f, max_period, max_roots, cfg=None):
-            seen.append(cfg)
-            return spectrum(f, max_period, max_roots, cfg)
-
-        monkeypatch.setattr(multispec.cli, "spectrum", recording)
-        code, out, _ = run(capsys, "classify", "z^2-1", "--max-period", "2",
-                           "--from-spectrum", "--residual-tol", "1e-9",
-                           "--cluster-radius", "1e-6")
-        assert code == 0 and "agrees=True" in out
-        assert seen == [RootConfig(residual_tol=1e-9, cluster_radius=1e-6)]
-
 
 class TestFiberScanCommand:
     def test_row_count_and_summary(self, capsys):
@@ -170,7 +154,8 @@ class TestCatalogCommand:
             assert code == 0 and "added" in out
         code, out, _ = run(capsys, "catalog", "query", "--store", store,
                            "--map", "z^4+1", "--max-period", "3")
-        assert code == 0 and "2 hit(s)" in out
+        # the pinned stored digest of both maps (see test_spectrum)
+        assert code == 0 and "2 hit(s) for digest a08ab888abba5d49" in out
         code, out, _ = run(capsys, "catalog", "scan", "--store", store)
         assert code == 0 and "1 collision group(s)" in out
 
@@ -198,6 +183,34 @@ class TestCatalogCommand:
     def test_missing_map_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["catalog", "add", "--store", "/tmp/x.cat"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_non_finite_spectrum_exit_3(self, capsys, tmp_path, seed):
+        # level 4 of these quartics overflows to inf (seed 1) and nan (seed 3)
+        store = tmp_path / "s.cat"
+        code, _, err = run(capsys, "catalog", "add", "--store", str(store),
+                           "--map", format_map(random_map(4, seed)),
+                           "--max-period", "4", "--created-at", STAMP)
+        assert code == 3 and "numeric failure" in err
+        assert not store.exists()
+
+
+class TestOptionValidation:
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "z^2", "--max-period", "0"], "--max-period must be >= 1"),
+        (["compare", "z^2", "z^2", "--tol", "0"], "--tol must be positive"),
+        (["catalog", "scan", "--store", "x.cat", "--quantum", "-1"],
+         "--quantum must be positive"),
+        (["classify", "z^2", "--max-roots", "2"], "--max-roots must be >= 3"),
+    ])
+    def test_bad_values_exit_2(self, capsys, argv, message):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and message in err
+
+    def test_root_finder_options_are_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "z^2", "--cluster-radius", "1e-7"])
         assert exc.value.code == 2
 
 

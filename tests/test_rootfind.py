@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from multispec import NoConvergence, RootConfig, binary_form_roots, roots
+from multispec import NoConvergence, binary_form_roots, roots
+from multispec import rootfind
 
 
 def locations(rs):
@@ -102,13 +103,14 @@ def test_determinism_bit_for_bit():
            [(r.location.x, r.location.y, r.multiplicity, r.residual) for r in b.roots]
 
 
-def test_no_convergence_is_an_error():
+def test_no_convergence_is_an_error(monkeypatch):
     rng = np.random.default_rng(3)
     coeffs = rng.normal(size=24) + 1j * rng.normal(size=24)
-    cfg = RootConfig(max_iter=1, newton_steps=0)
+    monkeypatch.setattr(rootfind, "MAX_ITER", 1)
+    monkeypatch.setattr(rootfind, "NEWTON_STEPS", 0)
     with pytest.raises(NoConvergence) as err:
-        roots(coeffs, cfg)
-    assert err.value.worst_residual > cfg.residual_tol
+        roots(coeffs)
+    assert err.value.worst_residual > 1e-10
 
 
 def test_degree_zero_rejected():

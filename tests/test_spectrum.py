@@ -5,6 +5,7 @@ from multispec import (
     BudgetExceeded,
     InconsistentZeroCounts,
     MultiplierSpectrum,
+    NonFiniteSpectrum,
     ParabolicPresent,
     ShapeMismatch,
     compare_spectra,
@@ -24,6 +25,7 @@ from multispec import (
     periodic_points,
     power_map,
     power_sums_oracle,
+    quantized_levels,
     random_map,
     random_mobius,
     rational_map_from_text,
@@ -248,6 +250,15 @@ class TestCompare:
         equal, dist = compare_spectra(spectrum(f, 3), spectrum(conjugate(f, phi), 3))
         assert equal and dist <= 1e-8
 
+    @pytest.mark.parametrize("bad", [complex("inf"), complex("nan"), complex(5, float("inf"))])
+    def test_non_finite_entry_raises(self, bad):
+        # max(dist, nan) keeps dist, so skipping these would call them equal
+        finite = MultiplierSpectrum(2, 1, ((1 + 0j, 5 + 0j, 0j),))
+        broken = MultiplierSpectrum(2, 1, ((1 + 0j, bad, 0j),))
+        for a, b in ((finite, broken), (broken, finite), (broken, broken)):
+            with pytest.raises(NonFiniteSpectrum):
+                compare_spectra(a, b)
+
 
 class TestLengthSpectrum:
     def test_square(self):
@@ -299,6 +310,14 @@ class TestFingerprint:
         a = MultiplierSpectrum(2, 1, ((8.43 + 0j, 0j, 0j),))
         b = MultiplierSpectrum(2, 1, ((8.44 + 0j, 0j, 0j),))
         assert fingerprint(a).digest != fingerprint(b).digest
+
+    @pytest.mark.parametrize("bad", [complex("inf"), complex("nan"), complex(0, float("-inf"))])
+    def test_non_finite_entry_raises(self, bad):
+        s = MultiplierSpectrum(2, 1, ((1 + 0j, bad, 0j),))
+        with pytest.raises(NonFiniteSpectrum):
+            fingerprint(s)
+        with pytest.raises(NonFiniteSpectrum):
+            quantized_levels(s)
 
     def test_quantum_validation(self):
         with pytest.raises(ValueError):
