@@ -55,7 +55,7 @@ from .families import (
     third_multiplier,
     weierstrass_double_x,
 )
-from .parser import format_complex, format_expr, format_map, parse_complex, parse_map
+from .parser import format_complex, format_map, parse_complex, parse_map
 from .pcf import (
     Classification,
     ClassificationResult,
@@ -71,7 +71,6 @@ from .poly import (
     CriticalData,
     CriticalPoint,
     MobiusTransform,
-    Polynomial,
     RationalMap,
     compose,
     conjugate,

@@ -152,10 +152,13 @@ def _decode(line: str, line_number: int) -> CatalogEntry:
 
 
 def _read_store(store_path) -> tuple[list[CatalogEntry], list[tuple[int, str]]]:
-    path = Path(store_path)
-    with path.open("r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if not lines or lines[0] != HEADER:
+    with Path(store_path).open("r", encoding="utf-8") as fh:
+        return _parse_store(fh.read())
+
+
+def _parse_store(text: str) -> tuple[list[CatalogEntry], list[tuple[int, str]]]:
+    lines = text.split("\n")
+    if lines[0] != HEADER:
         raise CorruptEntry(1, f"missing header {HEADER!r}")
     entries: list[CatalogEntry] = []
     skipped: list[tuple[int, str]] = []
@@ -172,20 +175,30 @@ def _read_store(store_path) -> tuple[list[CatalogEntry], list[tuple[int, str]]]:
 def catalog_add(store_path, entry: CatalogEntry) -> str:
     """Append an entry; idempotent for identical payloads.
 
-    Returns the entry id. Raises DuplicateId when the id exists with a
-    different payload, and OSError for filesystem trouble.
+    The check and the append run under an exclusive advisory lock on the
+    store, so concurrent writers cannot store one id twice; readers take
+    no lock. A missing or empty store gets the header first. Returns the
+    entry id. Raises DuplicateId when the id exists with a different
+    payload, and OSError for filesystem trouble.
     """
-    path = Path(store_path)
-    if not path.exists():
-        path.write_text(HEADER + "\n", encoding="utf-8")
-    entries, _ = _read_store(path)
-    encoded = _encode(entry)
-    for existing in entries:
-        if existing.id == entry.id:
-            if _encode(existing) == encoded:
-                return entry.id
-            raise DuplicateId(f"id {entry.id} already stored with different payload")
-    with path.open("a", encoding="utf-8") as fh:
+    # imported here so that `import multispec` works where fcntl is
+    # missing; only writers need the lock
+    import fcntl
+
+    with Path(store_path).open("a+", encoding="utf-8") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        fh.seek(0)
+        text = fh.read()
+        if not text:
+            text = HEADER + "\n"
+            fh.write(text)
+        entries, _ = _parse_store(text)
+        encoded = _encode(entry)
+        for existing in entries:
+            if existing.id == entry.id:
+                if _encode(existing) == encoded:
+                    return entry.id
+                raise DuplicateId(f"id {entry.id} already stored with different payload")
         fh.write(encoded + "\n")
         fh.flush()
     return entry.id

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes are a stable contract: 0 success (and "equal" for compare),
-1 compare found a difference, 2 usage or validation trouble, 3 numeric
-failure. Machine output (--format records) is line-delimited: the first
+1 compare found a difference, 2 usage, validation or file trouble, 3
+numeric failure. Machine output (--format records) is line-delimited: the first
 token names the record type, the rest are key=value pairs in a fixed
 order, floats with 17 significant digits. Runs with the same inputs and
 seeds produce byte-identical records.
@@ -11,9 +11,7 @@ seeds produce byte-identical records.
 from __future__ import annotations
 
 import argparse
-import fcntl
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -33,19 +31,13 @@ from .spectrum import (
 )
 from .errors import (
     BudgetExceeded,
-    CorruptEntry,
-    DegenerateMap,
     DegenerateParameters,
-    DegenerateTransform,
-    DegreeTooLow,
     InconsistentZeroCounts,
-    MapSyntaxError,
+    MultispecError,
     NoConvergence,
     NonFiniteSpectrum,
     NotRealizable,
     ParabolicPresent,
-    ShapeMismatch,
-    SingularCurve,
     SingularReduction,
     SpectraDiffer,
 )
@@ -55,18 +47,6 @@ from .poly import DEFAULT_MAX_ROOTS, rational_map_from_text
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
 
-_USAGE_ERRORS = (
-    MapSyntaxError,
-    DegreeTooLow,
-    DegenerateMap,
-    DegenerateTransform,
-    ShapeMismatch,
-    DegenerateParameters,
-    NotRealizable,
-    SingularCurve,
-    CorruptEntry,
-    ValueError,
-)
 _NUMERIC_ERRORS = (
     NoConvergence,
     NonFiniteSpectrum,
@@ -239,8 +219,6 @@ def cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_fiber_scan(args) -> int:
-    if args.degree != 2:
-        raise ValueError("fiber scans support degree 2 only")
     n = args.grid
     box = args.box
     if n < 1 or box <= 0:
@@ -298,16 +276,7 @@ def cmd_catalog(args) -> int:
             tags=args.tags or (), created_at=args.created_at,
             max_roots=args.max_roots,
         )
-        store = Path(args.store)
-        if not store.exists():
-            store.write_text(cat.HEADER + "\n", encoding="utf-8")
-        # single-writer contract: readers never need the lock
-        with store.open("r+", encoding="utf-8") as lock_handle:
-            fcntl.flock(lock_handle, fcntl.LOCK_EX)
-            try:
-                entry_id = cat.catalog_add(store, entry)
-            finally:
-                fcntl.flock(lock_handle, fcntl.LOCK_UN)
+        entry_id = cat.catalog_add(args.store, entry)
         if records:
             _emit_record("added", [("id", entry_id), ("map", entry.map_text),
                                    ("digest", entry.digest)])
@@ -423,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("fiber-scan", help="level-1 inversion scan over a grid")
-    p.add_argument("--degree", type=int, default=2)
     p.add_argument("--grid", type=int, default=20)
     p.add_argument("--box", type=float, default=2.0)
     common(p, max_period_default=1)
@@ -454,7 +422,7 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
-    except _USAGE_ERRORS as exc:
+    except (MultispecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

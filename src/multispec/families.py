@@ -23,9 +23,7 @@ from .errors import BudgetExceeded, DegenerateParameters, NotRealizable, Singula
 from .poly import (
     DEFAULT_MAX_ROOTS,
     MobiusTransform,
-    Polynomial,
     RationalMap,
-    _as_coeff_array,
     compose,
     make_map,
     sylvester_resultant,
@@ -76,14 +74,14 @@ def milnor_quadratic(lam1: complex, lam2: complex) -> RationalMap:
     return make_map([0.0, lam1, 1.0], [1.0, lam2])
 
 
-def invert_sigma(point: MilnorPoint, constraint_tol: float = MILNOR_CONSTRAINT_TOL) -> RationalMap:
+def invert_sigma(point: MilnorPoint) -> RationalMap:
     """A quadratic whose level-1 spectrum is the given point.
 
     The three multipliers are the roots of the cubic with those
     elementary symmetric values; among the pairs with product != 1 the
     one farthest from the degeneracy is fed to the normal form.
     """
-    if point.constraint_residual > constraint_tol * max(1.0, abs(point.sigma1)):
+    if point.constraint_residual > MILNOR_CONSTRAINT_TOL * max(1.0, abs(point.sigma1)):
         raise NotRealizable(
             f"sigma3 - (sigma1 - 2) = {point.sigma3 - point.sigma1 + 2.0}; "
             "no quadratic attains this level-1 spectrum"
@@ -143,13 +141,12 @@ def weierstrass_double_x(params: LattesParams, x: complex, y: complex) -> comple
     return slope * slope - 2.0 * x
 
 
-def random_curve_point(params: LattesParams, rng: np.random.Generator,
-                       min_height: float = 1e-3) -> tuple[complex, complex]:
+def random_curve_point(params: LattesParams, rng: np.random.Generator) -> tuple[complex, complex]:
     """A point (x, y) on the curve with y bounded away from 2-torsion."""
     while True:
         x = _disk_sample(rng, radius=2.0)
         y = cmath.sqrt(x**3 + params.a * x + params.b)
-        if abs(y) > min_height:
+        if abs(y) > 1e-3:
             return x, y
 
 
@@ -166,9 +163,7 @@ class ElementaryPair(NamedTuple):
 def _as_map(h) -> RationalMap:
     if isinstance(h, RationalMap):
         return h
-    if isinstance(h, Polynomial):
-        return make_map(h.coeffs, [1.0])
-    return make_map(_as_coeff_array(h), [1.0])
+    return make_map(h, [1.0])
 
 
 def elementary_transform(h1, h2, max_roots: int = DEFAULT_MAX_ROOTS) -> ElementaryPair:
@@ -222,11 +217,11 @@ def random_map(d: int, seed: int) -> RationalMap:
             return f
 
 
-def random_mobius(seed: int, min_det: float = 0.1) -> MobiusTransform:
+def random_mobius(seed: int) -> MobiusTransform:
     """Seeded random coordinate change with determinant bounded below."""
     rng = np.random.default_rng(seed)
     while True:
         entries = [_disk_sample(rng) for _ in range(4)]
         det = entries[0] * entries[3] - entries[1] * entries[2]
-        if abs(det) > min_det:
+        if abs(det) > 0.1:
             return MobiusTransform(*entries)

@@ -325,53 +325,6 @@ def format_complex(value: complex) -> str:
     return f"{_format_real(re_part)}{sign}{imag}"
 
 
-def _prec(node: Expr) -> int:
-    if isinstance(node, BinOp):
-        return 1 if node.op in "+-" else 2
-    if isinstance(node, Neg):
-        return 3
-    if isinstance(node, Pow):
-        return 4
-    if isinstance(node, Const):
-        v = node.value
-        if v.real != 0 and v.imag != 0:
-            return 1  # prints as a sum
-        if v.real < 0 or v.imag < 0:
-            return 3  # prints with a leading minus
-        return 5
-    return 5
-
-
-def format_expr(node: Expr) -> str:
-    """Canonical rendering of a syntax tree; re-parses to an equal tree."""
-
-    def wrap(child: Expr, min_prec: int) -> str:
-        text = format_expr(child)
-        if _prec(child) < min_prec:
-            return f"({text})"
-        return text
-
-    if isinstance(node, Var):
-        return "z"
-    if isinstance(node, Const):
-        return format_complex(node.value)
-    if isinstance(node, Neg):
-        return "-" + wrap(node.operand, 3)
-    if isinstance(node, Pow):
-        return f"{wrap(node.base, 5)}^{node.exponent}"
-    if isinstance(node, BinOp):
-        if node.op in "+-":
-            left = wrap(node.left, 1)
-            right = wrap(node.right, 2)
-            return f"{left}{node.op}{right}"
-        left = wrap(node.left, 2)
-        # left associativity: the right operand of * or / needs strictly
-        # higher precedence to avoid regrouping on re-parse
-        right = wrap(node.right, 3)
-        return f"{left}{node.op}{right}"
-    raise TypeError(f"unknown node {node!r}")
-
-
 def format_polynomial(coeffs) -> str:
     """Render an ascending coefficient sequence as expression text."""
     coeffs = np.asarray(coeffs, dtype=complex)

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import SpectraDiffer
 from .points import ProjectivePoint
 from .poly import (
-    Polynomial,
     RationalMap,
     _as_coeff_array,
     _eval_form,
@@ -121,11 +120,10 @@ def _same_cycle(a: list[ProjectivePoint], b: list[ProjectivePoint]) -> bool:
     return all(min(p.chordal(q) for q in b) < CYCLE_MATCH_TOL for p in a)
 
 
-def detect_superattracting_cycles(f: RationalMap, max_period: int,
-                                  tol: float = SUPERATTRACTING_TOL) -> list[CycleRecord]:
+def detect_superattracting_cycles(f: RationalMap, max_period: int) -> list[CycleRecord]:
     """Superattracting cycles of period <= max_period reached by critical orbits."""
     records, _ = _critical_orbit_survey(f, max_period)
-    return [r for r in records if r is not None and abs(r.multiplier) < tol]
+    return [r for r in records if r.is_superattracting]
 
 
 def _critical_orbit_survey(f: RationalMap, max_period: int):
@@ -200,11 +198,11 @@ def classify_disjoint_type(f: RationalMap, max_period: int = 4) -> Classificatio
 def _as_form_pair(h) -> tuple[np.ndarray, np.ndarray, int]:
     if isinstance(h, RationalMap):
         return h.p, h.q, h.degree
-    coeffs = h.coeffs if isinstance(h, Polynomial) else _as_coeff_array(h)
+    coeffs = _as_coeff_array(h)
     deg = len(coeffs) - 1
     den = np.zeros(deg + 1, dtype=complex)
     den[0] = 1.0
-    return np.asarray(coeffs, dtype=complex), den, deg
+    return coeffs, den, deg
 
 
 def semiconjugacy_check(f: RationalMap, g: RationalMap, h,

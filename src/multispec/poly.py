@@ -52,105 +52,7 @@ VALUE_CLUSTER_TOL = 1e-6
 DEFAULT_MAX_ROOTS = 2000
 
 
-# ---------------------------------------------------------------------------
-# Polynomials in one affine variable
-# ---------------------------------------------------------------------------
-
-class Polynomial:
-    """Immutable polynomial with ascending complex coefficients."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs):
-        arr = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-        if arr.ndim != 1 or len(arr) == 0:
-            raise ValueError("need a one-dimensional, nonempty coefficient sequence")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-            raise ValueError("coefficients must be finite")
-        end = len(arr)
-        while end > 1 and arr[end - 1] == 0:
-            end -= 1
-        self._coeffs = tuple(complex(v) for v in arr[:end])
-
-    @classmethod
-    def from_roots(cls, root_values, leading: complex = 1.0) -> "Polynomial":
-        return cls(leading * npoly.polyfromroots(list(root_values)))
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return np.array(self._coeffs, dtype=complex)
-
-    @property
-    def degree(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return len(self._coeffs) == 1 and self._coeffs[0] == 0
-
-    def __call__(self, z: complex) -> complex:
-        return complex(npoly.polyval(z, self.coeffs))
-
-    def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial([0])
-        return Polynomial(npoly.polyder(self.coeffs))
-
-    def __add__(self, other):
-        other = _as_poly(other)
-        return Polynomial(npoly.polyadd(self.coeffs, other.coeffs))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_poly(other)
-        return Polynomial(npoly.polysub(self.coeffs, other.coeffs))
-
-    def __rsub__(self, other):
-        return _as_poly(other) - self
-
-    def __mul__(self, other):
-        other = _as_poly(other)
-        return Polynomial(np.convolve(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Polynomial(-self.coeffs)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("only nonnegative powers")
-        out = Polynomial([1])
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(self._coeffs)
-
-    def __repr__(self):
-        return f"Polynomial({parser.format_polynomial(self.coeffs)})"
-
-
-def _as_poly(value) -> Polynomial:
-    if isinstance(value, Polynomial):
-        return value
-    if isinstance(value, (int, float, complex)):
-        return Polynomial([value])
-    return Polynomial(value)
-
-
 def _as_coeff_array(value) -> np.ndarray:
-    if isinstance(value, Polynomial):
-        return value.coeffs
-    if isinstance(value, (int, float, complex)):
-        return np.array([value], dtype=complex)
     return np.atleast_1d(np.asarray(value, dtype=complex))
 
 
@@ -164,12 +66,12 @@ def _pad(arr: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
-def _true_degree(arr: np.ndarray, rel_tol: float = COEFF_TRIM_REL) -> int:
+def _true_degree(arr: np.ndarray) -> int:
     scale = float(np.max(np.abs(arr)))
     if scale == 0.0:
         return 0
     end = len(arr)
-    while end > 1 and abs(arr[end - 1]) <= rel_tol * scale:
+    while end > 1 and abs(arr[end - 1]) <= COEFF_TRIM_REL * scale:
         end -= 1
     return end - 1
 
@@ -652,10 +554,10 @@ def critical_data(f: RationalMap) -> CriticalData:
     return CriticalData(f.degree, tuple(records), distinct)
 
 
-def _count_distinct(points, tol: float = VALUE_CLUSTER_TOL) -> int:
+def _count_distinct(points) -> int:
     reps: list[ProjectivePoint] = []
     for pt in points:
-        if all(pt.chordal(r) > tol for r in reps):
+        if all(pt.chordal(r) > VALUE_CLUSTER_TOL for r in reps):
             reps.append(pt)
     return len(reps)
 

@@ -226,7 +226,7 @@ def roots(p, residual_tol: float = 1e-10) -> RootSet:
     computation layered on top of this one. With residual_tol=inf there
     is no gate.
     """
-    coeffs = np.asarray(getattr(p, "coeffs", p), dtype=complex)
+    coeffs = np.asarray(p, dtype=complex)
     coeffs = _trim_leading(coeffs)
     m = len(coeffs) - 1
     if m < 1:
@@ -297,7 +297,7 @@ def binary_form_roots(form, degree: int | None = None, residual_tol: float = 1e-
     polynomial whose roots are all moderate (coefficient mass piles up
     in the middle), so no perceived smallness justifies dropping it.
     """
-    coeffs = np.asarray(getattr(form, "coeffs", form), dtype=complex)
+    coeffs = np.asarray(form, dtype=complex)
     if degree is None:
         degree = len(coeffs) - 1
     if len(coeffs) - 1 > degree:

@@ -432,8 +432,7 @@ def _iterate_forms_extended(f: RationalMap, n: int):
     return p, q
 
 
-def power_sums_oracle(f: RationalMap, n: int, kmax: int,
-                      max_points: int = ORACLE_MAX_POINTS) -> list[complex]:
+def power_sums_oracle(f: RationalMap, n: int, kmax: int) -> list[complex]:
     """Power sums of the level-n multipliers, computed without root extraction.
 
     The derivative of f^n is evaluated on the companion matrix of the
@@ -446,8 +445,8 @@ def power_sums_oracle(f: RationalMap, n: int, kmax: int,
     the root pipeline.
     """
     total = f.degree**n + 1
-    if total > max_points:
-        raise BudgetExceeded(f"oracle supports up to {max_points} points, got {total}")
+    if total > ORACLE_MAX_POINTS:
+        raise BudgetExceeded(f"oracle supports up to {ORACLE_MAX_POINTS} points, got {total}")
     gp, gq = _iterate_forms_extended(f, n)
     m = len(gp) - 1
     form = np.zeros(m + 2, dtype=_ORACLE_DTYPE)
@@ -663,7 +662,7 @@ def zero_multiplier_count(level) -> int:
     return count
 
 
-def disjoint_type_from_spectrum(s: MultiplierSpectrum, d: int | None = None) -> DisjointType:
+def disjoint_type_from_spectrum(s: MultiplierSpectrum) -> DisjointType:
     """Recover superattracting-cycle periods from zero-multiplier counts.
 
     A cycle of exact period p contributes p vanishing multipliers at
@@ -672,7 +671,6 @@ def disjoint_type_from_spectrum(s: MultiplierSpectrum, d: int | None = None) -> 
     greedily level by level. Raises InconsistentZeroCounts when some
     level admits no nonnegative integer solution.
     """
-    degree = d if d is not None else s.degree
     counts: dict[int, int] = {}
     for n, level in enumerate(s.levels, start=1):
         z_n = zero_multiplier_count(level)
@@ -683,4 +681,4 @@ def disjoint_type_from_spectrum(s: MultiplierSpectrum, d: int | None = None) -> 
     periods: list[int] = []
     for p in sorted(counts):
         periods.extend([p] * counts[p])
-    return DisjointType(tuple(periods), complete=(len(periods) == 2 * degree - 2))
+    return DisjointType(tuple(periods), complete=(len(periods) == 2 * s.degree - 2))

@@ -74,6 +74,40 @@ class TestAdd:
         with pytest.raises(OSError):
             catalog_add(target, entry_for_map("z^2", 2, created_at=STAMP))
 
+    def test_concurrent_adds_store_one_record(self, store, monkeypatch):
+        import threading
+        import time
+
+        from multispec import catalog
+
+        encode = catalog._encode
+
+        def slow_encode(entry):
+            time.sleep(0.1)
+            return encode(entry)
+
+        monkeypatch.setattr(catalog, "_encode", slow_encode)
+        entry = entry_for_map("z^2", 2, created_at=STAMP)
+        threads = [threading.Thread(target=catalog_add, args=(store, entry)) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert store.read_text().splitlines() == [HEADER, encode(entry)]
+
+
+def test_import_without_fcntl():
+    # the package must import on platforms without fcntl; only catalog_add needs it
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import multispec
+
+    src = str(Path(multispec.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); sys.modules['fcntl'] = None; import multispec"
+    subprocess.run([sys.executable, "-c", code], check=True)
+
 
 class TestQuery:
     def test_round_trip(self, store):

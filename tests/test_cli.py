@@ -140,8 +140,10 @@ class TestFiberScanCommand:
         assert any("status=degenerate" in l for l in out.splitlines())
 
     def test_unsupported_degree(self, capsys):
-        code, _, err = run(capsys, "fiber-scan", "--degree", "3")
-        assert code == 2
+        # level-1 inversion exists for quadratics only, so there is no option
+        with pytest.raises(SystemExit) as exc:
+            main(["fiber-scan", "--degree", "3"])
+        assert exc.value.code == 2
 
 
 class TestCatalogCommand:
@@ -179,6 +181,21 @@ class TestCatalogCommand:
         code, out, err = run(capsys, "catalog", "scan", "--store", str(store))
         assert code == 0
         assert "skipped corrupt line 3" in err
+
+    def test_re_add_with_other_stamp_exit_2(self, capsys, tmp_path):
+        store = tmp_path / "s.cat"
+        run(capsys, "catalog", "add", "--store", str(store), "--map", "z^2",
+            "--max-period", "2", "--created-at", STAMP)
+        before = store.read_bytes()
+        code, _, err = run(capsys, "catalog", "add", "--store", str(store),
+                           "--map", "z^2", "--max-period", "2",
+                           "--created-at", "2026-08-09T00:00:00+00:00")
+        assert code == 2 and "already stored" in err
+        assert store.read_bytes() == before
+
+    def test_missing_store_exit_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "catalog", "scan", "--store", str(tmp_path / "none.cat"))
+        assert code == 2 and err.startswith("error:")
 
     def test_missing_map_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

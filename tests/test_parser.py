@@ -3,7 +3,6 @@ import pytest
 from multispec import (
     MapSyntaxError,
     UnknownIdentifier,
-    format_expr,
     format_map,
     parse_complex,
     parse_map,
@@ -84,19 +83,6 @@ def test_position_on_syntax_error():
     assert err.value.offset == 6
 
 
-@pytest.mark.parametrize("text", [
-    "z^2",
-    "(z^2+1)/(z-1)",
-    "-z^3 + 2*z - i",
-    "1+2i",
-    "((z+1)*(z-1))/(z^2+(0.5-0.25i))",
-    "z/(z^2+1)+3",
-    "-(z*z)",
-    "2i*z^4-0.5",
-])
-def test_format_expr_round_trip(text):
-    tree = parse_map(text)
-    assert parse_map(format_expr(tree)) == tree
 
 
 def test_format_map_goldens():

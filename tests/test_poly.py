@@ -7,7 +7,6 @@ from multispec import (
     DegenerateTransform,
     DegreeTooLow,
     MobiusTransform,
-    Polynomial,
     ProjectivePoint,
     compose,
     conjugate,
@@ -190,22 +189,6 @@ class TestCriticalData:
     def test_random_cubics_mostly_simple(self):
         simple = sum(1 for seed in range(100) if is_simple(random_map(3, 40_000 + seed)))
         assert simple >= 99
-
-
-class TestPolynomial:
-    def test_trim_and_degree(self):
-        p = Polynomial([1, 2, 0, 0])
-        assert p.degree == 1
-
-    def test_arithmetic(self):
-        z = Polynomial([0, 1])
-        p = (z + 1) * (z - 1)
-        assert p == Polynomial([-1, 0, 1])
-        assert (z**3)(2.0) == 8.0
-
-    def test_requires_finite(self):
-        with pytest.raises(ValueError):
-            Polynomial([1, float("inf")])
 
 
 def test_iterate_semigroup_property():
