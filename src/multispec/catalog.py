@@ -10,13 +10,13 @@ re-adding the same map a no-op.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import CorruptEntry, DuplicateId
 from .parser import format_map
-from .poly import DEFAULT_MAX_ROOTS, rational_map_from_text
+from .poly import rational_map_from_text
 from .spectrum import (
     DEFAULT_QUANTUM,
     SpectrumFingerprint,
@@ -89,8 +89,7 @@ def make_entry(map_text: str, degree: int, max_period: int,
 
 def entry_for_map(map_text: str, max_period: int,
                   quantum: float = DEFAULT_QUANTUM, tags=(),
-                  created_at: str | None = None,
-                  max_roots: int = DEFAULT_MAX_ROOTS) -> CatalogEntry:
+                  created_at: str | None = None) -> CatalogEntry:
     """Parse, compute the spectrum, and assemble a catalog entry.
 
     The stored map_text is the canonical rendering of the parsed map, so
@@ -98,7 +97,7 @@ def entry_for_map(map_text: str, max_period: int,
     """
     f = rational_map_from_text(map_text)
     canonical = format_map(f)
-    s = spectrum(f, max_period, max_roots)
+    s = spectrum(f, max_period)
     fp = fingerprint(s, quantum)
     levels = [[(repr(re), repr(im)) for re, im in level]
               for level in quantized_levels(s, quantum)]
@@ -173,13 +172,15 @@ def _parse_store(text: str) -> tuple[list[CatalogEntry], list[tuple[int, str]]]:
 
 
 def catalog_add(store_path, entry: CatalogEntry) -> str:
-    """Append an entry; idempotent for identical payloads.
+    """Append an entry; a no-op when its id is stored with the same payload.
 
-    The check and the append run under an exclusive advisory lock on the
-    store, so concurrent writers cannot store one id twice; readers take
-    no lock. A missing or empty store gets the header first. Returns the
-    entry id. Raises DuplicateId when the id exists with a different
-    payload, and OSError for filesystem trouble.
+    `created_at` is not part of the payload: a re-add with another stamp
+    leaves the stored line and its stamp as they are. The check and the
+    append run under an exclusive advisory lock on the store, so
+    concurrent writers cannot store one id twice; readers take no lock.
+    A missing or empty store gets the header first. Returns the entry id.
+    Raises DuplicateId when the id exists with a different payload (other
+    tags, say), and OSError for filesystem trouble.
     """
     # imported here so that `import multispec` works where fcntl is
     # missing; only writers need the lock
@@ -196,7 +197,7 @@ def catalog_add(store_path, entry: CatalogEntry) -> str:
         encoded = _encode(entry)
         for existing in entries:
             if existing.id == entry.id:
-                if _encode(existing) == encoded:
+                if _encode(replace(existing, created_at=entry.created_at)) == encoded:
                     return entry.id
                 raise DuplicateId(f"id {entry.id} already stored with different payload")
         fh.write(encoded + "\n")

@@ -42,7 +42,7 @@ from .errors import (
     SpectraDiffer,
 )
 from .parser import format_map, parse_complex
-from .poly import DEFAULT_MAX_ROOTS, rational_map_from_text
+from .poly import rational_map_from_text
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
@@ -66,8 +66,8 @@ def _validate(args):
     for name in ("tol", "quantum"):
         if opts.get(name, 1.0) <= 0:
             raise ValueError(f"--{name} must be positive")
-    if opts.get("max_roots", 3) < 3:
-        raise ValueError("--max-roots must be >= 3")
+    if opts.get("grid", 1) < 1 or opts.get("box", 1.0) <= 0:
+        raise ValueError("--grid must be >= 1 and --box positive")
 
 
 def _fmt_real(x: float) -> str:
@@ -92,7 +92,7 @@ def _emit_record(kind: str, fields: list[tuple[str, str]]):
 def cmd_spectrum(args) -> int:
     f = rational_map_from_text(args.map)
     # one level pass serves both records
-    data = periodic_point_levels(f, args.max_period, args.max_roots)
+    data = periodic_point_levels(f, args.max_period)
     s = _multiplier_spectrum(f.degree, data)
     lengths = _length_spectrum(f.degree, data) if args.length else None
     if args.format == "records":
@@ -130,8 +130,8 @@ def _fmt_short(z: complex) -> str:
 def cmd_compare(args) -> int:
     f = rational_map_from_text(args.map1)
     g = rational_map_from_text(args.map2)
-    sf = spectrum(f, args.max_period, args.max_roots)
-    sg = spectrum(g, args.max_period, args.max_roots)
+    sf = spectrum(f, args.max_period)
+    sg = spectrum(g, args.max_period)
     equal, dist = compare_spectra(sf, sg, args.tol)
     if args.format == "records":
         _emit_record("compare", [
@@ -197,7 +197,7 @@ def cmd_classify(args) -> int:
             cyc = f"period {ev.cycle.exact_period}" if ev.cycle else "none"
             print(f"  critical point {ev.critical_point}: {ev.fate.value} (cycle {cyc})")
     if args.from_spectrum:
-        s = spectrum(f, args.max_period, args.max_roots)
+        s = spectrum(f, args.max_period)
         recovered = disjoint_type_from_spectrum(s)
         agrees = (result.status is pcf.Classification.DISJOINT_TYPE
                   and result.disjoint_type == recovered) or \
@@ -221,8 +221,6 @@ def cmd_classify(args) -> int:
 def cmd_fiber_scan(args) -> int:
     n = args.grid
     box = args.box
-    if n < 1 or box <= 0:
-        raise ValueError("--grid must be >= 1 and --box positive")
     s1_values = np.linspace(-box, box, n)
     s2_values = np.linspace(-box, box, n)
     realizable = 0
@@ -233,7 +231,7 @@ def cmd_fiber_scan(args) -> int:
             point = fam.MilnorPoint(complex(s1), complex(s2), complex(s1 - 2.0))
             try:
                 m = fam.invert_sigma(point)
-                level = spectrum_level(m, 1, args.max_roots)
+                level = spectrum_level(m, 1)
                 target = (point.sigma1, point.sigma2, point.sigma3)
                 err = max(
                     abs(a - b) / max(1.0, abs(a), abs(b))
@@ -274,7 +272,6 @@ def cmd_catalog(args) -> int:
         entry = cat.entry_for_map(
             args.map, args.max_period, args.quantum,
             tags=args.tags or (), created_at=args.created_at,
-            max_roots=args.max_roots,
         )
         entry_id = cat.catalog_add(args.store, entry)
         if records:
@@ -285,7 +282,7 @@ def cmd_catalog(args) -> int:
         return 0
     if args.action == "query":
         f = rational_map_from_text(args.map)
-        fp = fingerprint(spectrum(f, args.max_period, args.max_roots), args.quantum)
+        fp = fingerprint(spectrum(f, args.max_period), args.quantum)
         result = cat.catalog_query(args.store, fp, f.degree, args.max_period)
         _report_skipped(result.skipped, records)
         if records:
@@ -340,14 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, max_period_default=3):
-        p.add_argument("--max-period", dest="max_period", type=int,
-                       default=max_period_default,
-                       help="highest period level to use")
-        p.add_argument("--max-roots", dest="max_roots", type=int,
-                       default=DEFAULT_MAX_ROOTS, help="periodic point budget")
+    def output(p):
         p.add_argument("--format", choices=("table", "records"), default="table",
                        help="human table or machine records")
+
+    def common(p):
+        p.add_argument("--max-period", dest="max_period", type=int, default=3,
+                       help="highest period level to use")
+        output(p)
 
     p = sub.add_parser("spectrum", help="print the multiplier spectrum of a map")
     p.add_argument("map")
@@ -394,28 +391,36 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fiber-scan", help="level-1 inversion scan over a grid")
     p.add_argument("--grid", type=int, default=20)
     p.add_argument("--box", type=float, default=2.0)
-    common(p, max_period_default=1)
+    output(p)
     p.set_defaults(func=cmd_fiber_scan)
 
     p = sub.add_parser("catalog", help="fingerprint store operations")
-    p.add_argument("action", choices=("add", "query", "scan"))
-    p.add_argument("--store", required=True)
-    p.add_argument("--map", help="map text (for add and query)")
-    p.add_argument("--quantum", type=float, default=DEFAULT_QUANTUM)
-    p.add_argument("--tags", nargs="*", default=None)
-    p.add_argument("--created-at", dest="created_at", default=None,
+    csub = p.add_subparsers(dest="action", required=True)
+    c = csub.add_parser("add", help="store a map's fingerprint")
+    c.add_argument("--store", required=True)
+    c.add_argument("--map", required=True)
+    c.add_argument("--quantum", type=float, default=DEFAULT_QUANTUM)
+    c.add_argument("--tags", nargs="*", default=None)
+    c.add_argument("--created-at", dest="created_at", default=None,
                    help="fixed RFC 3339 timestamp for reproducible stores")
-    common(p)
-    p.set_defaults(func=cmd_catalog)
+    common(c)
+    c.set_defaults(func=cmd_catalog)
+    c = csub.add_parser("query", help="stored maps with a map's fingerprint")
+    c.add_argument("--store", required=True)
+    c.add_argument("--map", required=True)
+    c.add_argument("--quantum", type=float, default=DEFAULT_QUANTUM)
+    common(c)
+    c.set_defaults(func=cmd_catalog)
+    c = csub.add_parser("scan", help="groups of stored maps sharing a fingerprint")
+    c.add_argument("--store", required=True)
+    output(c)
+    c.set_defaults(func=cmd_catalog)
 
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "catalog" and args.action in ("add", "query") and not args.map:
-        parser.error("catalog add/query needs --map")
+    args = build_parser().parse_args(argv)
     try:
         _validate(args)
         return args.func(args)

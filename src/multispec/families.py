@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DegenerateParameters, NotRealizable, SingularCurve
 from .poly import (
-    DEFAULT_MAX_ROOTS,
+    MAX_POINTS,
     MobiusTransform,
     RationalMap,
     compose,
@@ -166,14 +166,14 @@ def _as_map(h) -> RationalMap:
     return make_map(h, [1.0])
 
 
-def elementary_transform(h1, h2, max_roots: int = DEFAULT_MAX_ROOTS) -> ElementaryPair:
+def elementary_transform(h1, h2) -> ElementaryPair:
     """The pair f = h1 o h2, g = h2 o h1 and the witness h2.
 
     The two maps share their multiplier spectrum; the witness intertwines
     them: h2 o f = g o h2.
     """
     m1, m2 = _as_map(h1), _as_map(h2)
-    if m1.degree * m2.degree + 1 > max_roots:
+    if m1.degree * m2.degree + 1 > MAX_POINTS:
         raise BudgetExceeded(
             f"composed degree {m1.degree * m2.degree} exceeds the root budget"
         )

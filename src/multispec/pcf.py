@@ -258,16 +258,16 @@ class ConsistencyReport:
 
 
 def cross_spectrum_pcf_consistency(f: RationalMap, g: RationalMap,
-                                   max_period: int,
-                                   tol: float = 1e-8) -> ConsistencyReport:
+                                   max_period: int) -> ConsistencyReport:
     """Check that spectrum equality transports the disjoint-type status.
 
-    Precondition: f and g have equal spectra at the tolerance (otherwise
-    SpectraDiffer). When f is classified disjoint-type, g must come out
-    disjoint-type with the same periods; any violation is flagged as a
-    numerical inconsistency, never silently passed.
+    Precondition: f and g have equal spectra at compare_spectra's
+    tolerance (otherwise SpectraDiffer). When f is classified
+    disjoint-type, g must come out disjoint-type with the same periods;
+    any violation is flagged as a numerical inconsistency, never
+    silently passed.
     """
-    equal, dist = compare_spectra(spectrum(f, max_period), spectrum(g, max_period), tol)
+    equal, dist = compare_spectra(spectrum(f, max_period), spectrum(g, max_period))
     if not equal:
         raise SpectraDiffer(dist)
     cf = classify_disjoint_type(f, max_period)

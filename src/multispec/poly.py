@@ -49,7 +49,7 @@ RESULTANT_LAW_RANGE = 150.0
 GCD_CLUSTER_RADIUS = 1e-9
 COEFF_TRIM_REL = 1e-12
 VALUE_CLUSTER_TOL = 1e-6
-DEFAULT_MAX_ROOTS = 2000
+MAX_POINTS = 2000  # periodic points one level may have
 
 
 def _as_coeff_array(value) -> np.ndarray:
@@ -294,14 +294,17 @@ def compose(f: RationalMap, g: RationalMap) -> RationalMap:
     return _finalize(new_p, new_q, f.degree * g.degree, predicted)
 
 
-def iterate(f: RationalMap, n: int, max_roots: int = DEFAULT_MAX_ROOTS) -> RationalMap:
+def _check_budget(degree: int, n: int):
+    """Refuse a level whose d**n + 1 periodic points exceed MAX_POINTS."""
+    if degree**n + 1 > MAX_POINTS:
+        raise BudgetExceeded(f"level {n} needs {degree ** n + 1} points; cap is {MAX_POINTS}")
+
+
+def iterate(f: RationalMap, n: int) -> RationalMap:
     """The n-th iterate as a rational map of degree d**n."""
     if n < 1:
         raise ValueError("iteration count must be >= 1")
-    if f.degree**n + 1 > max_roots:
-        raise BudgetExceeded(
-            f"degree {f.degree}^{n} needs {f.degree ** n + 1} periodic points; cap is {max_roots}"
-        )
+    _check_budget(f.degree, n)
     out = f
     for _ in range(n - 1):
         out = compose(f, out)

@@ -138,18 +138,6 @@ def _newton_correction(c, crev, dc, dcrev, z, scale):
     return out, res
 
 
-def _relative_residuals(c, crev, z, scale):
-    """|p(z)| measured against the polynomial's scale at the point's chart."""
-    z = np.asarray(z)
-    res = np.empty(len(z), dtype=float)
-    inner = np.abs(z) <= 1.0
-    if np.any(inner):
-        res[inner] = np.abs(npoly.polyval(z[inner], c)) / scale
-    if np.any(~inner):
-        res[~inner] = np.abs(npoly.polyval(1.0 / z[~inner], crev)) / scale
-    return res
-
-
 def _aberth(c: np.ndarray, residual_tol: float) -> np.ndarray:
     """Approximate all roots of c (ascending coeffs, c[0] != 0, deg >= 1)."""
     m = len(c) - 1
@@ -259,23 +247,20 @@ def roots(p, residual_tol: float = 1e-10) -> RootSet:
                 # the refined point only while the residual improves.
                 zc = np.array([center])
                 best = center
-                best_res = float(
-                    _relative_residuals(core, crev_core, zc, core_scale)[0]
-                )
+                w, res = _newton_correction(core, crev_core, dc_core, dcrev_core, zc, core_scale)
+                best_res = float(res[0])
                 for _ in range(NEWTON_STEPS):
-                    w, _ = _newton_correction(core, crev_core, dc_core, dcrev_core, zc, core_scale)
                     zc = zc - mult * w
-                    res = float(
-                        _relative_residuals(core, crev_core, zc, core_scale)[0]
-                    )
-                    if res <= best_res:
-                        best, best_res = complex(zc[0]), res
+                    w, res = _newton_correction(core, crev_core, dc_core, dcrev_core, zc, core_scale)
+                    if res[0] <= best_res:
+                        best, best_res = complex(zc[0]), float(res[0])
                 center = best
             found.append((center, mult))
 
     crev = coeffs[::-1].copy()
     centers = np.array([c for c, _ in found], dtype=complex)
-    residuals = _relative_residuals(coeffs, crev, centers, scale)
+    residuals = _newton_correction(coeffs, crev, npoly.polyder(coeffs), npoly.polyder(crev),
+                                   centers, scale)[1]
     worst = float(residuals.max()) if len(residuals) else 0.0
     if worst > residual_tol:
         raise NoConvergence("root finder missed the residual tolerance", worst)
@@ -287,19 +272,17 @@ def roots(p, residual_tol: float = 1e-10) -> RootSet:
     return RootSet(tuple(out))
 
 
-def binary_form_roots(form, degree: int | None = None, residual_tol: float = 1e-10) -> RootSet:
+def binary_form_roots(form, degree: int, residual_tol: float = 1e-10) -> RootSet:
     """Projective roots of a homogeneous form, infinity included.
 
     The form is given by its dehomogenized coefficient array (ascending);
-    `degree` is its formal degree, defaulting to len(form) - 1. Only
-    exactly-zero leading coefficients contribute to the multiplicity of
-    the root at infinity: a tiny leading coefficient may belong to a
-    polynomial whose roots are all moderate (coefficient mass piles up
-    in the middle), so no perceived smallness justifies dropping it.
+    `degree` is its formal degree. Only exactly-zero leading coefficients
+    contribute to the multiplicity of the root at infinity: a tiny
+    leading coefficient may belong to a polynomial whose roots are all
+    moderate (coefficient mass piles up in the middle), so no perceived
+    smallness justifies dropping it.
     """
     coeffs = np.asarray(form, dtype=complex)
-    if degree is None:
-        degree = len(coeffs) - 1
     if len(coeffs) - 1 > degree:
         raise ValueError("coefficient array longer than the formal degree allows")
     scale = float(np.max(np.abs(coeffs)))

@@ -36,9 +36,9 @@ from .errors import (
 )
 from .points import ProjectivePoint
 from .poly import (
-    DEFAULT_MAX_ROOTS,
     RationalMap,
     _OrbitDifferentials,
+    _check_budget,
     compose,
     iterate,
     substitute_forms,
@@ -137,9 +137,9 @@ def _fixed_form_of(g: RationalMap) -> np.ndarray:
     return out
 
 
-def fixed_point_form(f: RationalMap, n: int, max_roots: int = DEFAULT_MAX_ROOTS) -> np.ndarray:
+def fixed_point_form(f: RationalMap, n: int) -> np.ndarray:
     """The degree d^n + 1 form whose projective roots are the f^n-fixed points."""
-    return _fixed_form_of(iterate(f, n, max_roots))
+    return _fixed_form_of(iterate(f, n))
 
 
 def _functional_aberth_polish(engine: _OrbitDifferentials, n: int, approx: list[complex],
@@ -318,10 +318,9 @@ def _periodic_points_from(f: RationalMap, g: RationalMap, n: int) -> PeriodicPoi
     return pps
 
 
-def periodic_points(f: RationalMap, n: int,
-                    max_roots: int = DEFAULT_MAX_ROOTS) -> PeriodicPointSet:
+def periodic_points(f: RationalMap, n: int) -> PeriodicPointSet:
     """All d^n + 1 fixed points of f^n with multiplicities and multipliers."""
-    g = iterate(f, n, max_roots)
+    g = iterate(f, n)
     return _periodic_points_from(f, g, n)
 
 
@@ -336,15 +335,13 @@ def elementary_symmetric(values) -> list[complex]:
     return [complex(x) for x in e[1:]]
 
 
-def spectrum_level(f: RationalMap, n: int,
-                   max_roots: int = DEFAULT_MAX_ROOTS) -> tuple[complex, ...]:
+def spectrum_level(f: RationalMap, n: int) -> tuple[complex, ...]:
     """Elementary symmetric values of the level-n multiplier multiset."""
-    pps = periodic_points(f, n, max_roots)
+    pps = periodic_points(f, n)
     return tuple(elementary_symmetric(pps.multipliers()))
 
 
-def periodic_point_levels(f: RationalMap, max_period: int,
-                          max_roots: int = DEFAULT_MAX_ROOTS) -> list[PeriodicPointSet]:
+def periodic_point_levels(f: RationalMap, max_period: int) -> list[PeriodicPointSet]:
     """Periodic point sets for every level 1..max_period.
 
     One composition chain serves all levels, so this is much cheaper
@@ -352,10 +349,7 @@ def periodic_point_levels(f: RationalMap, max_period: int,
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
-    if f.degree**max_period + 1 > max_roots:
-        raise BudgetExceeded(
-            f"level {max_period} needs {f.degree ** max_period + 1} points; cap is {max_roots}"
-        )
+    _check_budget(f.degree, max_period)
     out = []
     g = f
     for n in range(1, max_period + 1):
@@ -378,16 +372,14 @@ def _length_spectrum(degree: int, data: list[PeriodicPointSet]) -> LengthSpectru
     return LengthSpectrum(degree, len(data), levels)
 
 
-def spectrum(f: RationalMap, max_period: int,
-             max_roots: int = DEFAULT_MAX_ROOTS) -> MultiplierSpectrum:
+def spectrum(f: RationalMap, max_period: int) -> MultiplierSpectrum:
     """Levels 1..max_period of the multiplier spectrum."""
-    return _multiplier_spectrum(f.degree, periodic_point_levels(f, max_period, max_roots))
+    return _multiplier_spectrum(f.degree, periodic_point_levels(f, max_period))
 
 
-def length_spectrum(f: RationalMap, max_period: int,
-                    max_roots: int = DEFAULT_MAX_ROOTS) -> LengthSpectrum:
+def length_spectrum(f: RationalMap, max_period: int) -> LengthSpectrum:
     """Same construction applied to the multiplier moduli."""
-    return _length_spectrum(f.degree, periodic_point_levels(f, max_period, max_roots))
+    return _length_spectrum(f.degree, periodic_point_levels(f, max_period))
 
 
 # ---------------------------------------------------------------------------

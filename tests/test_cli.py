@@ -1,9 +1,11 @@
 import importlib
+import shlex
+from pathlib import Path
 
 import pytest
 
 from multispec import format_map, random_map
-from multispec.cli import main
+from multispec.cli import build_parser, main
 
 # the package attribute `multispec.spectrum` is the function, not the module
 spectrum_module = importlib.import_module("multispec.spectrum")
@@ -182,14 +184,23 @@ class TestCatalogCommand:
         assert code == 0
         assert "skipped corrupt line 3" in err
 
-    def test_re_add_with_other_stamp_exit_2(self, capsys, tmp_path):
+    def test_re_add_with_other_stamp_is_a_no_op(self, capsys, tmp_path):
         store = tmp_path / "s.cat"
-        run(capsys, "catalog", "add", "--store", str(store), "--map", "z^2",
-            "--max-period", "2", "--created-at", STAMP)
+        add = ["catalog", "add", "--store", str(store), "--map", "z^2", "--max-period", "2"]
+        run(capsys, *add, "--created-at", STAMP)
         before = store.read_bytes()
-        code, _, err = run(capsys, "catalog", "add", "--store", str(store),
-                           "--map", "z^2", "--max-period", "2",
-                           "--created-at", "2026-08-09T00:00:00+00:00")
+        for stamp in (["--created-at", "2026-08-09T00:00:00+00:00"], []):
+            code, _, _ = run(capsys, *add, *stamp)
+            assert code == 0
+            assert store.read_bytes() == before
+
+    def test_re_add_with_other_tags_exit_2(self, capsys, tmp_path):
+        store = tmp_path / "s.cat"
+        add = ["catalog", "add", "--store", str(store), "--map", "z^2", "--max-period", "2",
+               "--created-at", STAMP]
+        run(capsys, *add)
+        before = store.read_bytes()
+        code, _, err = run(capsys, *add, "--tags", "power")
         assert code == 2 and "already stored" in err
         assert store.read_bytes() == before
 
@@ -217,18 +228,36 @@ class TestOptionValidation:
     @pytest.mark.parametrize("argv, message", [
         (["spectrum", "z^2", "--max-period", "0"], "--max-period must be >= 1"),
         (["compare", "z^2", "z^2", "--tol", "0"], "--tol must be positive"),
-        (["catalog", "scan", "--store", "x.cat", "--quantum", "-1"],
+        (["catalog", "query", "--store", "x.cat", "--map", "z^2", "--quantum", "-1"],
          "--quantum must be positive"),
-        (["classify", "z^2", "--max-roots", "2"], "--max-roots must be >= 3"),
+        (["fiber-scan", "--grid", "0"], "--grid must be >= 1"),
     ])
     def test_bad_values_exit_2(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)
         assert code == 2 and message in err
 
-    def test_root_finder_options_are_gone(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "z^2", "--cluster-radius", "1e-7"],
+        ["spectrum", "z^2", "--max-roots", "3000"],
+        ["fiber-scan", "--max-period", "2"],
+        ["catalog", "scan", "--store", "x.cat", "--map", "z^2"],
+        ["catalog", "scan", "--store", "x.cat", "--max-period", "2"],
+        ["catalog", "query", "--store", "x.cat", "--map", "z^2", "--tags", "a"],
+    ])
+    def test_unread_options_are_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["spectrum", "z^2", "--cluster-radius", "1e-7"])
+            main(argv)
         assert exc.value.code == 2
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("multispec ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
 class TestDeterminism:
