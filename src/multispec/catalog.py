@@ -10,6 +10,7 @@ re-adding the same map a no-op.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -31,6 +32,7 @@ FIELD_ORDER = [
     "id", "map_text", "degree", "max_period", "quantum",
     "digest", "levels", "tags", "created_at",
 ]
+_DIGEST = re.compile("[0-9a-f]{16}")
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -129,9 +131,9 @@ def _decode(line: str, line_number: int) -> CatalogEntry:
     if list(obj.keys()) != FIELD_ORDER:
         raise CorruptEntry(line_number, "unknown or misordered fields")
     try:
-        levels = tuple(
-            tuple((str(re), str(im)) for re, im in level) for level in obj["levels"]
-        )
+        levels = tuple([
+            tuple([(str(re), str(im)) for re, im in level]) for level in obj["levels"]
+        ])
         entry = CatalogEntry(
             id=str(obj["id"]),
             map_text=str(obj["map_text"]),
@@ -145,7 +147,7 @@ def _decode(line: str, line_number: int) -> CatalogEntry:
         )
     except (TypeError, ValueError, KeyError) as exc:
         raise CorruptEntry(line_number, f"bad field: {exc}") from None
-    if len(entry.digest) != 16 or any(c not in "0123456789abcdef" for c in entry.digest):
+    if not _DIGEST.fullmatch(entry.digest):
         raise CorruptEntry(line_number, "digest is not 16 hex characters")
     return entry
 
@@ -155,13 +157,18 @@ def _read_store(store_path) -> tuple[list[CatalogEntry], list[tuple[int, str]]]:
         return _parse_store(fh.read())
 
 
-def _parse_store(text: str) -> tuple[list[CatalogEntry], list[tuple[int, str]]]:
+def _numbered_lines(text: str):
+    """(line number, line) for each record line, after the header check."""
     lines = text.split("\n")
     if lines[0] != HEADER:
         raise CorruptEntry(1, f"missing header {HEADER!r}")
+    return enumerate(lines[1:], start=2)
+
+
+def _parse_store(text: str) -> tuple[list[CatalogEntry], list[tuple[int, str]]]:
     entries: list[CatalogEntry] = []
     skipped: list[tuple[int, str]] = []
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in _numbered_lines(text):
         if not line:
             continue
         try:
@@ -178,7 +185,8 @@ def catalog_add(store_path, entry: CatalogEntry) -> str:
     leaves the stored line and its stamp as they are. The check and the
     append run under an exclusive advisory lock on the store, so
     concurrent writers cannot store one id twice; readers take no lock.
-    A missing or empty store gets the header first. Returns the entry id.
+    A missing or empty store gets the header first, a torn final line its
+    newline. Returns the entry id; only lines that can hold it are decoded.
     Raises DuplicateId when the id exists with a different payload (other
     tags, say), and OSError for filesystem trouble.
     """
@@ -193,14 +201,21 @@ def catalog_add(store_path, entry: CatalogEntry) -> str:
         if not text:
             text = HEADER + "\n"
             fh.write(text)
-        entries, _ = _parse_store(text)
         encoded = _encode(entry)
-        for existing in entries:
+        for i, line in _numbered_lines(text):
+            # only a line that spells the id out (as a string, or as a bare integer
+            # if all-digit) or holds a JSON escape, with its backslash, can match
+            if entry.id not in line and "\\" not in line:
+                continue
+            try:
+                existing = _decode(line, i)
+            except CorruptEntry:
+                continue
             if existing.id == entry.id:
                 if _encode(replace(existing, created_at=entry.created_at)) == encoded:
                     return entry.id
                 raise DuplicateId(f"id {entry.id} already stored with different payload")
-        fh.write(encoded + "\n")
+        fh.write(("" if text.endswith("\n") else "\n") + encoded + "\n")
         fh.flush()
     return entry.id
 

@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import pytest
 
 from multispec import (
@@ -13,7 +16,7 @@ from multispec import (
     rational_map_from_text,
     spectrum,
 )
-from multispec.catalog import HEADER, entry_id, make_entry
+from multispec.catalog import HEADER, _encode, entry_id, make_entry
 from multispec.parser import format_map
 
 STAMP = "2026-08-08T00:00:00+00:00"
@@ -94,6 +97,51 @@ class TestAdd:
         for t in threads:
             t.join()
         assert store.read_text().splitlines() == [HEADER, encode(entry)]
+
+    @pytest.mark.parametrize("tail, skipped_lines", [
+        pytest.param("", [], id="header-only"),
+        pytest.param('\n{"id": "dead', [2], id="torn-record"),
+    ])
+    def test_torn_final_line_keeps_the_next_record(self, store, tail, skipped_lines):
+        # a crash mid-append leaves the last line without its newline
+        store.write_text(HEADER + tail, encoding="utf-8")
+        catalog_add(store, entry_for_map("z^2", 2, created_at=STAMP))
+        result = catalog_query(store, fp_of("z^2", 2), 2, 2)
+        assert [e.map_text for e in result] == ["z^2"]
+        assert [n for n, _ in result.skipped] == skipped_lines
+
+
+class TestAddReadsOnlyLinesThatCanHoldTheId:
+    def write(self, store, *lines):
+        store.write_text("\n".join([HEADER, *lines]) + "\n", encoding="utf-8")
+        return store.read_bytes()
+
+    def test_id_written_with_an_escape(self, store):
+        entry = entry_for_map("z^2", 2, created_at=STAMP)
+        letter = next(c for c in entry.id if c in "abcdef")
+        escaped = entry.id.replace(letter, f"\\u{ord(letter):04x}", 1)
+        line = _encode(entry).replace(f'"id":"{entry.id}"', f'"id":"{escaped}"')
+        assert entry.id not in line
+        before = self.write(store, line)
+        assert catalog_add(store, entry) == entry.id
+        assert store.read_bytes() == before
+        with pytest.raises(DuplicateId):
+            catalog_add(store, replace(entry, tags=("different",)))
+        assert store.read_bytes() == before
+
+    def test_corrupt_line_holding_the_id_is_passed_over(self, store):
+        entry = entry_for_map("z^2", 2, created_at=STAMP)
+        before = self.write(store, f'{{"id":"{entry.id}", truncated', _encode(entry))
+        assert catalog_add(store, entry) == entry.id
+        assert store.read_bytes() == before
+
+    def test_all_digit_id_stored_as_a_bare_integer(self, store):
+        entry = replace(entry_for_map("z^2", 2, created_at=STAMP), id="1234567890123456")
+        line = _encode(entry).replace('"id":"1234567890123456"', '"id":1234567890123456')
+        assert line != _encode(entry)
+        before = self.write(store, line)
+        assert catalog_add(store, entry) == entry.id
+        assert store.read_bytes() == before
 
 
 def test_import_without_fcntl():
@@ -184,3 +232,36 @@ class TestScan:
         store.write_text("not a catalog\n")
         with pytest.raises(CorruptEntry):
             catalog_scan_collisions(store)
+
+
+def _dumps(obj):
+    return json.dumps(obj, separators=(",", ":"))
+
+
+# the JSON and unpacking messages are worded as Python 3.11 words them
+@pytest.mark.parametrize("doctor, reason", [
+    pytest.param(lambda obj: "{not json",
+                 "not valid JSON: Expecting property name enclosed in double quotes",
+                 id="invalid-json"),
+    pytest.param(lambda obj: "[1, 2]", "record is not an object", id="non-object"),
+    pytest.param(lambda obj: _dumps({"map_text": obj.pop("map_text"), **obj}),
+                 "unknown or misordered fields", id="misordered"),
+    pytest.param(lambda obj: _dumps({**obj, "levels": [[["1", "0", "0"]]]}),
+                 "bad field: too many values to unpack (expected 2)", id="level-pair-of-3"),
+    pytest.param(lambda obj: _dumps({**obj, "degree": "two"}),
+                 "bad field: invalid literal for int() with base 10: 'two'", id="degree-two"),
+    pytest.param(lambda obj: _dumps({**obj, "digest": "0123456789abcde"}),
+                 "digest is not 16 hex characters", id="digest-15"),
+    pytest.param(lambda obj: _dumps({**obj, "digest": "0123456789ABCDEF"}),
+                 "digest is not 16 hex characters", id="digest-uppercase"),
+    pytest.param(lambda obj: _dumps({**obj, "digest": "0123456789abcdeg"}),
+                 "digest is not 16 hex characters", id="digest-g"),
+])
+def test_query_reports_each_corrupt_line(store, doctor, reason):
+    entry = entry_for_map("z^2", 2, created_at=STAMP)
+    catalog_add(store, entry)
+    with open(store, "a", encoding="utf-8") as fh:
+        fh.write(doctor(json.loads(_encode(entry))) + "\n")
+    result = catalog_query(store, fp_of("z^2", 2), 2, 2)
+    assert [e.map_text for e in result] == ["z^2"]
+    assert result.skipped == ((3, reason),)
