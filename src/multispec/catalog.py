@@ -121,7 +121,11 @@ def _encode(entry: CatalogEntry) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _decode(line: str, line_number: int) -> CatalogEntry:
+def _decode(raw: bytes, line_number: int) -> CatalogEntry:
+    try:
+        line = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptEntry(line_number, f"not valid UTF-8: {exc.reason}") from None
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -153,22 +157,26 @@ def _decode(line: str, line_number: int) -> CatalogEntry:
 
 
 def _read_store(store_path) -> tuple[list[CatalogEntry], list[tuple[int, str]]]:
-    with Path(store_path).open("r", encoding="utf-8") as fh:
-        return _parse_store(fh.read())
+    return _parse_store(Path(store_path).read_bytes())
 
 
-def _numbered_lines(text: str):
-    """(line number, line) for each record line, after the header check."""
-    lines = text.split("\n")
-    if lines[0] != HEADER:
+def _numbered_lines(data: bytes):
+    """(line number, undecoded line) for each record line, after the header check.
+
+    Lines are split before they are decoded, so bytes torn mid-character
+    spoil only their own line. Newlines are read as text mode reads them:
+    \r\n and a lone \r end a line too.
+    """
+    lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+    if lines[0] != HEADER.encode():
         raise CorruptEntry(1, f"missing header {HEADER!r}")
     return enumerate(lines[1:], start=2)
 
 
-def _parse_store(text: str) -> tuple[list[CatalogEntry], list[tuple[int, str]]]:
+def _parse_store(data: bytes) -> tuple[list[CatalogEntry], list[tuple[int, str]]]:
     entries: list[CatalogEntry] = []
     skipped: list[tuple[int, str]] = []
-    for i, line in _numbered_lines(text):
+    for i, line in _numbered_lines(data):
         if not line:
             continue
         try:
@@ -194,18 +202,19 @@ def catalog_add(store_path, entry: CatalogEntry) -> str:
     # missing; only writers need the lock
     import fcntl
 
-    with Path(store_path).open("a+", encoding="utf-8") as fh:
+    with Path(store_path).open("a+b") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX)
         fh.seek(0)
-        text = fh.read()
-        if not text:
-            text = HEADER + "\n"
-            fh.write(text)
+        data = fh.read()
+        if not data:
+            data = (HEADER + "\n").encode()
+            fh.write(data)
         encoded = _encode(entry)
-        for i, line in _numbered_lines(text):
+        key = entry.id.encode()
+        for i, line in _numbered_lines(data):
             # only a line that spells the id out (as a string, or as a bare integer
             # if all-digit) or holds a JSON escape, with its backslash, can match
-            if entry.id not in line and "\\" not in line:
+            if key not in line and b"\\" not in line:
                 continue
             try:
                 existing = _decode(line, i)
@@ -215,7 +224,7 @@ def catalog_add(store_path, entry: CatalogEntry) -> str:
                 if _encode(replace(existing, created_at=entry.created_at)) == encoded:
                     return entry.id
                 raise DuplicateId(f"id {entry.id} already stored with different payload")
-        fh.write(("" if text.endswith("\n") else "\n") + encoded + "\n")
+        fh.write((b"" if data.endswith((b"\n", b"\r")) else b"\n") + encoded.encode() + b"\n")
         fh.flush()
     return entry.id
 

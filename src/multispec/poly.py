@@ -378,31 +378,37 @@ class _OrbitDifferentials:
     """
 
     def __init__(self, f: RationalMap):
-        self.degree = f.degree
-        # degree-d forms and their degree-(d-1) partials, stacked so one
-        # polyval call per chart evaluates a whole group
-        self.forms = np.column_stack([f.p, f.q])
-        self.forms_rev = self.forms[::-1].copy()
-        self.partials = np.column_stack([
-            _form_partial_x(f.p), _form_partial_y(f.p),
-            _form_partial_x(f.q), _form_partial_y(f.q),
-        ])
-        self.partials_rev = self.partials[::-1].copy()
+        d = self.degree = f.degree
+        # rows (P, Q, P_X, P_Y, Q_X, Q_Y) by coefficient, ascending in the
+        # chart variable: slab 0 for u = x/y, slab 1 for w = y/x. The
+        # degree-(d-1) partials get a zero top coefficient, so one Horner
+        # pass covers all six; each point picks its chart's slab, and the
+        # trailing axis broadcasts over the points
+        z_chart = np.zeros((d + 1, 6), dtype=complex)
+        z_chart[:, 0], z_chart[:, 1] = f.p, f.q
+        partials = [_form_partial_x(f.p), _form_partial_y(f.p),
+                    _form_partial_x(f.q), _form_partial_y(f.q)]
+        z_chart[:d, 2:] = np.column_stack(partials)
+        w_chart = np.zeros_like(z_chart)
+        w_chart[:, :2] = z_chart[::-1, :2]
+        w_chart[:d, 2:] = z_chart[d - 1::-1, 2:]
+        self.table = np.stack([z_chart, w_chart])[..., None]
 
     def _step_values(self, x: np.ndarray, y: np.ndarray):
         """(P, Q, P_X, P_Y, Q_X, Q_Y) at all points, chart per point."""
         d = self.degree
         inner = np.abs(x) <= np.abs(y)
-        outer = ~inner
-        vals = np.empty((6, len(x)), dtype=complex)
-        xi, yi = x[inner], y[inner]
-        u = np.where(yi == 0, 0.0, xi / np.where(yi == 0, 1.0, yi))
-        vals[0:2, inner] = npoly.polyval(u, self.forms) * yi**d
-        vals[2:6, inner] = npoly.polyval(u, self.partials) * yi ** (d - 1)
-        xo, yo = x[outer], y[outer]
-        w = yo / xo
-        vals[0:2, outer] = npoly.polyval(w, self.forms_rev) * xo**d
-        vals[2:6, outer] = npoly.polyval(w, self.partials_rev) * xo ** (d - 1)
+        num = np.where(inner, x, y)
+        scale = np.where(inner, y, x)
+        # a 0/0 point gets chart variable 0
+        t = np.where(scale == 0, 0.0, num / np.where(scale == 0, 1.0, scale))
+        z_slab, w_slab = self.table
+        # Horner in polyval's exact operation order, t * 0 term included
+        vals = np.where(inner, z_slab[d], w_slab[d]) + t * 0
+        for j in range(d - 1, -1, -1):
+            vals = np.where(inner, z_slab[j], w_slab[j]) + vals * t
+        vals[:2] *= scale**d
+        vals[2:] *= scale ** (d - 1)
         return vals
 
     def newton_data(self, n: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

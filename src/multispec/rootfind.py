@@ -156,16 +156,19 @@ def _aberth(c: np.ndarray, residual_tol: float) -> np.ndarray:
     floor = 8.0 * m * _EPS
     done = np.zeros(m, dtype=bool)
     for _ in range(MAX_ITER):
-        w, res = _newton_correction(c, crev, dc, dcrev, z, scale)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
+        # settled roots stay put; each live row still sums over all m roots
+        live = np.flatnonzero(~done)
+        zl = z[live]
+        w, res = _newton_correction(c, crev, dc, dcrev, zl, scale)
+        diff = zl[:, None] - z[None, :]
+        diff[np.arange(len(live)), live] = np.inf
         repulsion = np.sum(1.0 / diff, axis=1)
         denom = 1.0 - w * repulsion
         denom = np.where(denom == 0, _EPS, denom)
         step = w / denom
-        step = np.where(done, 0.0, step)
-        z = z - step
-        done = done | (np.abs(step) <= 4.0 * _EPS * (1.0 + np.abs(z))) | (res <= floor)
+        zl = zl - step
+        z[live] = zl
+        done[live] = (np.abs(step) <= 4.0 * _EPS * (1.0 + np.abs(zl))) | (res <= floor)
         if np.all(done):
             break
 

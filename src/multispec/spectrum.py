@@ -192,21 +192,24 @@ def _functional_aberth_polish(engine: _OrbitDifferentials, n: int, approx: list[
             since_improve += 1
             if since_improve >= 60 and best_worst <= 1e-6:
                 break
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
+        # only unfrozen rows move; each still sums over all m points
+        live = np.flatnonzero(~frozen)
+        zl = z[live]
+        diff = zl[:, None] - z[None, :]
+        diff[np.arange(len(live)), live] = np.inf
         repulsion = np.sum(1.0 / diff, axis=1)
         for w, mult in held:
-            gap = z - w
+            gap = zl - w
             gap = np.where(gap == 0, 1e-30, gap)
             repulsion = repulsion + mult / gap
-        denom = 1.0 - ratios * repulsion
+        denom = 1.0 - ratios[live] * repulsion
         denom = np.where(denom == 0, 1.0, denom)
-        step = ratios / denom
+        step = ratios[live] / denom
         # cap the step so a point cannot tunnel across the periodic set
-        cap = 0.25 * (1.0 + np.abs(z))
+        cap = 0.25 * (1.0 + np.abs(zl))
         mag = np.abs(step)
         step = np.where(mag > cap, step * (cap / np.where(mag == 0, 1.0, mag)), step)
-        z = z - np.where(frozen, 0.0, step)
+        z[live] = zl - step
     active = ~frozen
     if np.any(active):
         _, res_a = engine.newton_data(n, z[active])

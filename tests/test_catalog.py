@@ -176,6 +176,15 @@ class TestQuery:
         hits = catalog_query(store, fp_of("z^4+1", 3), 4, 3)
         assert sorted(e.map_text for e in hits) == ["z^4+1", "z^4+2*z^2+1"]
 
+    def test_crlf_store_reads_as_in_text_mode(self, store):
+        entry = entry_for_map("z^2", 2, created_at=STAMP)
+        store.write_bytes(f"{HEADER}\r\n{_encode(entry)}\r\n".encode())
+        hits = catalog_query(store, fp_of("z^2", 2), 2, 2)
+        assert [e.id for e in hits] == [entry.id] and hits.skipped == ()
+        before = store.read_bytes()
+        catalog_add(store, entry)
+        assert store.read_bytes() == before
+
     def test_stored_entry_recomputes_to_same_fingerprint(self, store):
         entry = entry_for_map("(z^2+1)/(z-1)", 2, created_at=STAMP)
         catalog_add(store, entry)

@@ -184,6 +184,24 @@ class TestCatalogCommand:
         assert code == 0
         assert "skipped corrupt line 3" in err
 
+    def test_final_line_torn_mid_character_spoils_only_itself(self, capsys, tmp_path):
+        store = tmp_path / "s.cat"
+        add = ["catalog", "add", "--store", str(store), "--max-period", "2",
+               "--created-at", STAMP, "--map"]
+        run(capsys, *add, "z^2")
+        with open(store, "ab") as fh:
+            fh.write('{"id": "dead", "tags": ["爆'.encode()[:-1])
+        warning = "skipped corrupt line 3: not valid UTF-8: unexpected end of data"
+        code, out, err = run(capsys, "catalog", "query", "--store", str(store),
+                             "--map", "z^2", "--max-period", "2")
+        assert code == 0 and "1 hit(s)" in out and warning in err
+        code, out, _ = run(capsys, *add, "z^3")
+        assert code == 0 and "added" in out
+        code, out, err = run(capsys, "catalog", "scan", "--store", str(store))
+        assert code == 0 and warning in err
+        lines = store.read_bytes().split(b"\n")
+        assert len(lines) == 5 and lines[3].startswith(b'{"id":"') and lines[4] == b""
+
     def test_re_add_with_other_stamp_is_a_no_op(self, capsys, tmp_path):
         store = tmp_path / "s.cat"
         add = ["catalog", "add", "--store", str(store), "--map", "z^2", "--max-period", "2"]

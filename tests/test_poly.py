@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from multispec import (
     BudgetExceeded,
@@ -21,6 +22,7 @@ from multispec import (
     rational_map_from_text,
     sylvester_resultant,
 )
+from multispec.poly import _OrbitDifferentials, _form_partial_x, _form_partial_y
 
 
 def coeffs_match(f, g, tol=1e-10):
@@ -201,3 +203,72 @@ def test_iterate_semigroup_property():
         lhs = iterate(f, a + b)
         rhs = compose(iterate(f, a), iterate(f, b))
         assert coeffs_match(lhs, rhs, 1e-10)
+
+
+def _polyval_step_values(f, x, y):
+    """Reference: the six step values from one polyval call per group and chart."""
+    d = f.degree
+    forms = np.column_stack([f.p, f.q])
+    partials = np.column_stack([_form_partial_x(f.p), _form_partial_y(f.p),
+                                _form_partial_x(f.q), _form_partial_y(f.q)])
+    inner = np.abs(x) <= np.abs(y)
+    outer = ~inner
+    vals = np.empty((6, len(x)), dtype=complex)
+    xi, yi = x[inner], y[inner]
+    u = np.where(yi == 0, 0.0, xi / np.where(yi == 0, 1.0, yi))
+    vals[0:2, inner] = npoly.polyval(u, forms) * yi**d
+    vals[2:6, inner] = npoly.polyval(u, partials) * yi ** (d - 1)
+    xo, yo = x[outer], y[outer]
+    w = yo / xo
+    vals[0:2, outer] = npoly.polyval(w, forms[::-1].copy()) * xo**d
+    vals[2:6, outer] = npoly.polyval(w, partials[::-1].copy()) * xo ** (d - 1)
+    return vals
+
+
+class _PolyvalEngine(_OrbitDifferentials):
+    def __init__(self, f):
+        super().__init__(f)
+        self.f = f
+
+    def _step_values(self, x, y):
+        return _polyval_step_values(self.f, x, y)
+
+
+def _sample_points(rng, count):
+    """Random (x, y) pairs plus chart edges: zeros, ties, signed zeros, inf, nan."""
+    x = rng.normal(size=count) + 1j * rng.normal(size=count)
+    y = rng.normal(size=count) + 1j * rng.normal(size=count)
+    inf, nan = np.inf, np.nan
+    edge = [(0, 1), (1, 0), (0, 0), (1 + 1j, 1 - 1j), (-1j, 1), (2, -2),
+            (complex(-0.0, 0.0), 1), (complex(0.0, -0.0), complex(-0.0, -0.0)),
+            (1, complex(-0.0, 0.0)), (-0.0, -0.0), (inf, 1), (1, inf),
+            (inf, inf), (complex(0, inf), 1), (nan, 1), (1, nan),
+            (complex(1, nan), 1), (nan, nan)]
+    ex, ey = (np.array(v, dtype=complex) for v in zip(*edge))
+    return np.concatenate([x, ex]), np.concatenate([y, ey])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_fused_step_values_match_polyval_bit_for_bit(d):
+    rng = np.random.default_rng(60 + d)
+    f = random_map(d, 70 + d)
+    x, y = _sample_points(rng, 200)
+    with np.errstate(all="ignore"):
+        got = _OrbitDifferentials(f)._step_values(x, y)
+        want = _polyval_step_values(f, x, y)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_orbit_engine_matches_polyval_engine_bit_for_bit(d, n):
+    f = random_map(d, 80 + d)
+    rng = np.random.default_rng(90 + d)
+    z = 2.0 * (rng.normal(size=60) + 1j * rng.normal(size=60))
+    z[:3] = [0.0, 1.0, -1j]
+    points = [ProjectivePoint.from_affine(v) for v in z] + [ProjectivePoint.infinity()]
+    fused, reference = _OrbitDifferentials(f), _PolyvalEngine(f)
+    with np.errstate(all="ignore"):
+        for got, want in zip(fused.newton_data(n, z), reference.newton_data(n, z)):
+            assert got.tobytes() == want.tobytes()
+        assert fused.multipliers(n, points).tobytes() == reference.multipliers(n, points).tobytes()

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -101,6 +103,15 @@ def test_determinism_bit_for_bit():
     b = roots(coeffs)
     assert [(r.location.x, r.location.y, r.multiplicity, r.residual) for r in a.roots] == \
            [(r.location.x, r.location.y, r.multiplicity, r.residual) for r in b.roots]
+
+
+def test_triple_root_bits_are_pinned():
+    # the triple root settles last, so most Aberth sweeps run with some rows
+    # done; sha256 recorded with numpy 2.4.6 on x86-64
+    rs = roots(npoly.polyfromroots([1, 1, 1, -2, 0.5j, 3 - 1j, -1 + 2j, 0.25]))
+    reprs = [(repr(r.location), r.multiplicity, repr(r.residual)) for r in rs.roots]
+    assert hashlib.sha256(repr(reprs).encode()).hexdigest() == (
+        "248c2bdd7d489ff4776ccb59aca82056993d417001610859b9d4828434b4b06a")
 
 
 def test_no_convergence_is_an_error(monkeypatch):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,25 @@ class TestPeriodicPoints:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             periodic_points(power_map(2), 12)
+
+
+# sha256 of the reprs of (location, multiplicity, multiplier), recorded with
+# numpy 2.4.6 on x86-64: the Aberth polish must keep every bit
+@pytest.mark.parametrize("make, n, held, expected", [
+    # level 4 holds the parabolic fixed point 1/2 as a double root; at level
+    # 5 its two seeds are polished apart instead
+    (lambda: rational_map_from_text("z^2+0.25"), 4, 1,
+     "386e686aaede14b743608db781fd22567b60ffa6763b12aad57ae2cca21f7854"),
+    (lambda: rational_map_from_text("z^2+0.25"), 5, 0,
+     "c6ce7ff128d296eac826d983eda336f06b4c92d9de76525aa3eb91c5e1d8fcfc"),
+    (lambda: random_map(2, 11), 7, 0,
+     "1b5617c124ca51159905d9123daa96e31ea31137ca897ec74fe977fc41ec6486"),
+], ids=["parabolic-4", "parabolic-5", "random-7"])
+def test_periodic_point_bits_are_pinned(make, n, held, expected):
+    points = periodic_points(make(), n).points
+    assert sum(p.multiplicity > 1 for p in points) == held
+    reprs = [(repr(p.location), p.multiplicity, repr(p.multiplier)) for p in points]
+    assert hashlib.sha256(repr(reprs).encode()).hexdigest() == expected
 
 
 class TestOrbitMultipliers:
