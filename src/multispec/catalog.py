@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,14 +28,13 @@ from .spectrum import (
 )
 
 HEADER = "#multispec-catalog v1"
-FIELD_ORDER = [
-    "id", "map_text", "degree", "max_period", "quantum",
-    "digest", "levels", "tags", "created_at",
-]
 _DIGEST = re.compile("[0-9a-f]{16}")
+
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One store line: these fields, in this order, as a JSON object."""
+
     id: str
     map_text: str
     degree: int
@@ -45,6 +44,9 @@ class CatalogEntry:
     levels: tuple  # per level, per entry: (re_string, im_string)
     tags: tuple[str, ...]
     created_at: str  # RFC 3339
+
+
+FIELD_ORDER = [field.name for field in fields(CatalogEntry)]
 
 
 @dataclass(frozen=True)
@@ -107,18 +109,9 @@ def entry_for_map(map_text: str, max_period: int,
 
 
 def _encode(entry: CatalogEntry) -> str:
-    obj = {
-        "id": entry.id,
-        "map_text": entry.map_text,
-        "degree": entry.degree,
-        "max_period": entry.max_period,
-        "quantum": entry.quantum,
-        "digest": entry.digest,
-        "levels": [[[re, im] for re, im in level] for level in entry.levels],
-        "tags": list(entry.tags),
-        "created_at": entry.created_at,
-    }
-    return json.dumps(obj, separators=(",", ":"))
+    # json writes the tuples in `levels` and `tags` as arrays
+    return json.dumps({name: getattr(entry, name) for name in FIELD_ORDER},
+                      separators=(",", ":"))
 
 
 def _decode(raw: bytes, line_number: int) -> CatalogEntry:
@@ -154,10 +147,6 @@ def _decode(raw: bytes, line_number: int) -> CatalogEntry:
     if not _DIGEST.fullmatch(entry.digest):
         raise CorruptEntry(line_number, "digest is not 16 hex characters")
     return entry
-
-
-def _read_store(store_path) -> tuple[list[CatalogEntry], list[tuple[int, str]]]:
-    return _parse_store(Path(store_path).read_bytes())
 
 
 def _numbered_lines(data: bytes):
@@ -232,7 +221,7 @@ def catalog_add(store_path, entry: CatalogEntry) -> str:
 def catalog_query(store_path, fp: SpectrumFingerprint,
                   degree: int, max_period: int) -> QueryResult:
     """All entries matching digest, quantum, degree, and max_period."""
-    entries, skipped = _read_store(store_path)
+    entries, skipped = _parse_store(Path(store_path).read_bytes())
     hits = tuple(
         e for e in entries
         if e.digest == fp.hex_digest
@@ -245,7 +234,7 @@ def catalog_query(store_path, fp: SpectrumFingerprint,
 
 def catalog_scan_collisions(store_path) -> ScanResult:
     """Groups of >= 2 distinct maps sharing a fingerprint key."""
-    entries, skipped = _read_store(store_path)
+    entries, skipped = _parse_store(Path(store_path).read_bytes())
     groups: dict[tuple, list[CatalogEntry]] = {}
     for e in entries:
         key = (e.degree, e.max_period, repr(e.quantum), e.digest)

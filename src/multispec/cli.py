@@ -11,6 +11,7 @@ seeds produce byte-identical records.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -151,26 +152,9 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    kind = args.family
-    if kind == "milnor":
-        m = fam.milnor_quadratic(parse_complex(args.l1), parse_complex(args.l2))
+    # each family's subparser sets `maps`, which builds the maps to print
+    for m in args.maps(args):
         print(format_map(m))
-    elif kind == "lattes":
-        m = fam.lattes_mult2(fam.LattesParams(parse_complex(args.a), parse_complex(args.b)))
-        print(format_map(m))
-    elif kind == "power":
-        print(format_map(fam.power_map(args.degree)))
-    elif kind == "random":
-        print(format_map(fam.random_map(args.degree, args.seed)))
-    elif kind == "elemtrans":
-        pair = fam.elementary_transform(
-            rational_map_from_text(args.h1), rational_map_from_text(args.h2)
-        )
-        print(format_map(pair.f))
-        print(format_map(pair.g))
-        print(format_map(pair.witness))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown family {kind}")
     return 0
 
 
@@ -266,62 +250,66 @@ def cmd_fiber_scan(args) -> int:
 # catalog
 # ---------------------------------------------------------------------------
 
-def cmd_catalog(args) -> int:
+def cmd_catalog_add(args) -> int:
+    entry = cat.entry_for_map(
+        args.map, args.max_period, args.quantum,
+        tags=args.tags or (), created_at=args.created_at,
+    )
+    entry_id = cat.catalog_add(args.store, entry)
+    if args.format == "records":
+        _emit_record("added", [("id", entry_id), ("map", entry.map_text),
+                               ("digest", entry.digest)])
+    else:
+        print(f"added {entry_id} ({entry.map_text}, digest {entry.digest})")
+    return 0
+
+
+def cmd_catalog_query(args) -> int:
     records = args.format == "records"
-    if args.action == "add":
-        entry = cat.entry_for_map(
-            args.map, args.max_period, args.quantum,
-            tags=args.tags or (), created_at=args.created_at,
-        )
-        entry_id = cat.catalog_add(args.store, entry)
-        if records:
-            _emit_record("added", [("id", entry_id), ("map", entry.map_text),
-                                   ("digest", entry.digest)])
-        else:
-            print(f"added {entry_id} ({entry.map_text}, digest {entry.digest})")
-        return 0
-    if args.action == "query":
-        f = rational_map_from_text(args.map)
-        fp = fingerprint(spectrum(f, args.max_period), args.quantum)
-        result = cat.catalog_query(args.store, fp, f.degree, args.max_period)
-        _report_skipped(result.skipped, records)
-        if records:
-            for e in result.entries:
-                _emit_record("hit", [("id", e.id), ("map", e.map_text),
-                                     ("degree", str(e.degree)),
-                                     ("max_period", str(e.max_period)),
-                                     ("digest", e.digest)])
-            _emit_record("query", [("digest", fp.hex_digest),
-                                   ("hits", str(len(result.entries)))])
-        else:
-            for e in result.entries:
-                print(f"hit {e.id} {e.map_text}")
-            print(f"{len(result.entries)} hit(s) for digest {fp.hex_digest}")
-        return 0
-    if args.action == "scan":
-        result = cat.catalog_scan_collisions(args.store)
-        _report_skipped(result.skipped, records)
-        if records:
-            for gi, group in enumerate(result.groups):
-                for e in group:
-                    _emit_record("collision", [("group", str(gi)), ("id", e.id),
-                                               ("map", e.map_text),
-                                               ("digest", e.digest)])
-            _emit_record("scan", [("groups", str(len(result.groups)))])
-        else:
-            for gi, group in enumerate(result.groups):
-                print(f"group {gi} (digest {group[0].digest}):")
-                for e in group:
-                    print(f"  {e.id} {e.map_text}")
-            print(f"{len(result.groups)} collision group(s)")
-        return 0
-    raise ValueError(f"unknown catalog action {args.action}")  # pragma: no cover
+    f = rational_map_from_text(args.map)
+    fp = fingerprint(spectrum(f, args.max_period), args.quantum)
+    result = cat.catalog_query(args.store, fp, f.degree, args.max_period)
+    _report_skipped(result.skipped, records)
+    if records:
+        for e in result.entries:
+            _emit_record("hit", [("id", e.id), ("map", e.map_text),
+                                 ("degree", str(e.degree)),
+                                 ("max_period", str(e.max_period)),
+                                 ("digest", e.digest)])
+        _emit_record("query", [("digest", fp.hex_digest),
+                               ("hits", str(len(result.entries)))])
+    else:
+        for e in result.entries:
+            print(f"hit {e.id} {e.map_text}")
+        print(f"{len(result.entries)} hit(s) for digest {fp.hex_digest}")
+    return 0
+
+
+def cmd_catalog_scan(args) -> int:
+    records = args.format == "records"
+    result = cat.catalog_scan_collisions(args.store)
+    _report_skipped(result.skipped, records)
+    if records:
+        for gi, group in enumerate(result.groups):
+            for e in group:
+                _emit_record("collision", [("group", str(gi)), ("id", e.id),
+                                           ("map", e.map_text),
+                                           ("digest", e.digest)])
+        _emit_record("scan", [("groups", str(len(result.groups)))])
+    else:
+        for gi, group in enumerate(result.groups):
+            print(f"group {gi} (digest {group[0].digest}):")
+            for e in group:
+                print(f"  {e.id} {e.map_text}")
+        print(f"{len(result.groups)} collision group(s)")
+    return 0
 
 
 def _report_skipped(skipped, records: bool):
     for line_no, reason in skipped:
         if records:
-            _emit_record("skipped", [("line", str(line_no)), ("reason", f'"{reason}"')])
+            _emit_record("skipped", [("line", str(line_no)),
+                                     ("reason", json.dumps(reason, ensure_ascii=False))])
         else:
             print(f"warning: skipped corrupt line {line_no}: {reason}", file=sys.stderr)
 
@@ -360,26 +348,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("generate", help="emit maps from the named families")
+    p.set_defaults(func=cmd_generate)
     gsub = p.add_subparsers(dest="family", required=True)
     g = gsub.add_parser("milnor", help="quadratic with prescribed fixed multipliers")
     g.add_argument("--l1", required=True)
     g.add_argument("--l2", required=True)
-    g.set_defaults(func=cmd_generate)
+    g.set_defaults(maps=lambda a: [fam.milnor_quadratic(parse_complex(a.l1),
+                                                        parse_complex(a.l2))])
     g = gsub.add_parser("lattes", help="duplication map of y^2 = x^3 + a x + b")
     g.add_argument("--a", required=True)
     g.add_argument("--b", required=True)
-    g.set_defaults(func=cmd_generate)
+    g.set_defaults(maps=lambda a: [fam.lattes_mult2(
+        fam.LattesParams(parse_complex(a.a), parse_complex(a.b)))])
     g = gsub.add_parser("power", help="z^d")
     g.add_argument("--degree", type=int, required=True)
-    g.set_defaults(func=cmd_generate)
+    g.set_defaults(maps=lambda a: [fam.power_map(a.degree)])
     g = gsub.add_parser("random", help="seeded random map")
     g.add_argument("--degree", type=int, required=True)
     g.add_argument("--seed", type=int, default=0)
-    g.set_defaults(func=cmd_generate)
+    g.set_defaults(maps=lambda a: [fam.random_map(a.degree, a.seed)])
     g = gsub.add_parser("elemtrans", help="h1 o h2 / h2 o h1 pair with witness")
     g.add_argument("--h1", required=True)
     g.add_argument("--h2", required=True)
-    g.set_defaults(func=cmd_generate)
+    # an ElementaryPair iterates as f, g, witness
+    g.set_defaults(maps=lambda a: fam.elementary_transform(
+        rational_map_from_text(a.h1), rational_map_from_text(a.h2)))
 
     p = sub.add_parser("classify", help="critical-orbit classification")
     p.add_argument("map")
@@ -404,17 +397,17 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--created-at", dest="created_at", default=None,
                    help="fixed RFC 3339 timestamp for reproducible stores")
     common(c)
-    c.set_defaults(func=cmd_catalog)
+    c.set_defaults(func=cmd_catalog_add)
     c = csub.add_parser("query", help="stored maps with a map's fingerprint")
     c.add_argument("--store", required=True)
     c.add_argument("--map", required=True)
     c.add_argument("--quantum", type=float, default=DEFAULT_QUANTUM)
     common(c)
-    c.set_defaults(func=cmd_catalog)
+    c.set_defaults(func=cmd_catalog_query)
     c = csub.add_parser("scan", help="groups of stored maps sharing a fingerprint")
     c.add_argument("--store", required=True)
     output(c)
-    c.set_defaults(func=cmd_catalog)
+    c.set_defaults(func=cmd_catalog_scan)
 
     return top
 

@@ -14,6 +14,7 @@
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,7 +27,6 @@ from .poly import (
     RationalMap,
     compose,
     make_map,
-    sylvester_resultant,
 )
 from .rootfind import roots
 
@@ -213,7 +213,7 @@ def random_map(d: int, seed: int) -> RationalMap:
             continue
         if f.degree != d:
             continue
-        if abs(sylvester_resultant(f.p, f.q, d)) > RANDOM_MAP_RESULTANT_MIN:
+        if f.log_resultant > math.log(RANDOM_MAP_RESULTANT_MIN):
             return f
 
 

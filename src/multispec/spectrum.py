@@ -43,7 +43,7 @@ from .poly import (
     iterate,
     substitute_forms,
 )
-from .rootfind import binary_form_roots
+from .rootfind import _trim_leading, binary_form_roots
 
 ZERO_TAIL_REL_TOL = 1e-6
 PARABOLIC_GUARD = 1e-6
@@ -125,12 +125,17 @@ class DisjointType:
 # Periodic points and spectra
 # ---------------------------------------------------------------------------
 
+def _fixed_form(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Coefficients of Y*P - X*Q, one formal degree above the pair, in its dtype."""
+    out = np.zeros(len(p) + 1, dtype=np.result_type(p, q))
+    out[:-1] += p
+    out[1:] -= q
+    return out
+
+
 def _fixed_form_of(g: RationalMap) -> np.ndarray:
-    """Coefficients of Y*P - X*Q for the map g, formal degree deg(g) + 1."""
-    m = g.degree
-    out = np.zeros(m + 2, dtype=complex)
-    out[: m + 1] += g.p
-    out[1:] -= g.q
+    """The fixed form of g, scaled to unit largest coefficient."""
+    out = _fixed_form(g.p, g.q)
     scale = float(np.max(np.abs(out)))
     if scale > 0:
         out = out / scale
@@ -392,13 +397,13 @@ def length_spectrum(f: RationalMap, max_period: int) -> LengthSpectrum:
 def _mult_matrix(vector: np.ndarray, monic: np.ndarray) -> np.ndarray:
     """Matrix of multiplication by `vector` in C[z]/(monic)."""
     m = len(monic) - 1
-    cur = np.zeros(m, dtype=complex)
+    cur = np.zeros(m, dtype=monic.dtype)
     cur[: len(vector)] = vector
     cols = []
     for _ in range(m):
         cols.append(cur)
         top = cur[m - 1]
-        nxt = np.empty(m, dtype=complex)
+        nxt = np.empty(m, dtype=monic.dtype)
         nxt[0] = 0.0
         nxt[1:] = cur[: m - 1]
         nxt = nxt - top * monic[:m]
@@ -444,13 +449,7 @@ def power_sums_oracle(f: RationalMap, n: int, kmax: int) -> list[complex]:
         raise BudgetExceeded(f"oracle supports up to {ORACLE_MAX_POINTS} points, got {total}")
     gp, gq = _iterate_forms_extended(f, n)
     m = len(gp) - 1
-    form = np.zeros(m + 2, dtype=_ORACLE_DTYPE)
-    form[: m + 1] += gp
-    form[1:] -= gq
-    end = len(form)
-    while end > 1 and form[end - 1] == 0:
-        end -= 1
-    affine = form[:end]
+    affine = _trim_leading(_fixed_form(gp, gq))
     deg_affine = len(affine) - 1
     deficit = (m + 1) - deg_affine
 
@@ -476,10 +475,9 @@ def power_sums_oracle(f: RationalMap, n: int, kmax: int) -> list[complex]:
             np.convolve(gp, npoly.polyder(gq)),
         )
         den = np.convolve(gq, gq)
-        num_red = _poly_mod(num, monic)
-        den_red = _poly_mod(den, monic)
-        ma = _mult_matrix(num_red, monic)
-        mb = _mult_matrix(den_red, monic)
+        # polydiv keeps the extended dtype, and a shorter dividend is its own remainder
+        ma = _mult_matrix(npoly.polydiv(num, monic)[1], monic)
+        mb = _mult_matrix(npoly.polydiv(den, monic)[1], monic)
         if _rcond_estimate(mb.astype(complex)) <= 1e-12:
             raise SingularReduction(
                 "derivative denominator not invertible modulo the fixed-point polynomial"
@@ -513,13 +511,6 @@ def _solve_extended(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     for col in range(n - 1, -1, -1):
         rhs[col] = (rhs[col] - m[col, col + 1 :] @ rhs[col + 1 :]) / m[col, col]
     return rhs
-
-
-def _poly_mod(a: np.ndarray, monic: np.ndarray) -> np.ndarray:
-    if len(a) < len(monic):
-        return np.asarray(a, dtype=complex)
-    _, rem = npoly.polydiv(np.asarray(a, dtype=complex), np.asarray(monic, dtype=complex))
-    return np.atleast_1d(rem)
 
 
 def _rcond_estimate(mat: np.ndarray) -> float:

@@ -1,4 +1,5 @@
 import importlib
+import json
 import shlex
 from pathlib import Path
 
@@ -183,6 +184,22 @@ class TestCatalogCommand:
         code, out, err = run(capsys, "catalog", "scan", "--store", str(store))
         assert code == 0
         assert "skipped corrupt line 3" in err
+
+    def test_skipped_reason_is_a_json_string(self, capsys, tmp_path):
+        store = tmp_path / "s.cat"
+        run(capsys, "catalog", "add", "--store", str(store), "--map", "z^2",
+            "--max-period", "2", "--created-at", STAMP)
+        line = store.read_text().splitlines()[1]
+        assert '"quantum":1e-06' in line
+        with open(store, "a") as fh:
+            fh.write(line.replace('"quantum":1e-06', '"quantum":"\\""') + "\n")
+        code, out, _ = run(capsys, "catalog", "query", "--store", str(store), "--map", "z^2",
+                           "--max-period", "2", "--format", "records")
+        assert code == 0
+        record = out.splitlines()[0]
+        assert record.startswith("skipped line=3 reason=")
+        reason = json.loads(record.split(" reason=", 1)[1])
+        assert reason == "bad field: could not convert string to float: '\"'"
 
     def test_final_line_torn_mid_character_spoils_only_itself(self, capsys, tmp_path):
         store = tmp_path / "s.cat"

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 
 import numpy as np
 import pytest
@@ -7,8 +8,12 @@ from multispec import (
     BudgetExceeded,
     InconsistentZeroCounts,
     MultiplierSpectrum,
+    NoConvergence,
     NonFiniteSpectrum,
     ParabolicPresent,
+    ProjectivePoint,
+    Root,
+    RootSet,
     ShapeMismatch,
     compare_spectra,
     compose,
@@ -35,8 +40,11 @@ from multispec import (
     spectrum_level,
     zero_multiplier_count,
 )
+from multispec.poly import _OrbitDifferentials
 from multispec.rootfind import binary_form_roots
 
+# the package attribute `multispec.spectrum` is the function, not the module
+spectrum_module = importlib.import_module("multispec.spectrum")
 
 def close(seq, expected, tol=1e-10):
     return all(abs(a - b) <= tol for a, b in zip(seq, expected)) and len(seq) == len(expected)
@@ -114,6 +122,66 @@ def test_periodic_point_bits_are_pinned(make, n, held, expected):
     assert sum(p.multiplicity > 1 for p in points) == held
     reprs = [(repr(p.location), p.multiplicity, repr(p.multiplier)) for p in points]
     assert hashlib.sha256(repr(reprs).encode()).hexdigest() == expected
+
+
+class TestPolishSafetyPaths:
+    """Paths of the level computation that ordinary maps never take."""
+
+    def test_functional_gate_refuses(self, monkeypatch):
+        monkeypatch.setattr(spectrum_module, "_FUNCTIONAL_GATE", 0.0)
+        with pytest.raises(NoConvergence, match="failed functional verification"):
+            periodic_points(random_map(2, 1), 3)
+
+    def test_collided_points_refused(self, monkeypatch):
+        polish = spectrum_module._functional_aberth_polish
+
+        def collapsing(engine, n, approx, held):
+            z, _ = polish(engine, n, approx, held)
+            z[1] = z[0]
+            return z, np.zeros(len(z))
+
+        monkeypatch.setattr(spectrum_module, "_functional_aberth_polish", collapsing)
+        with pytest.raises(NoConvergence, match="collided"):
+            periodic_points(random_map(2, 1), 3)
+
+    def test_non_parabolic_cluster_is_split(self, monkeypatch):
+        # glue the two closest simple roots into one double root: its
+        # multiplier is far from 1, so the level must split it back into
+        # two seeds and polish them apart onto the true points
+        f = random_map(2, 11)
+        want = periodic_points(f, 3).points
+        find = spectrum_module.binary_form_roots
+
+        def glued(form, degree, residual_tol):
+            rs = find(form, degree, residual_tol=residual_tol)
+            finite = [r for r in rs.roots if not r.location.is_infinite]
+            gap, a, b = min(((abs(a.location.affine - b.location.affine), a, b)
+                             for i, a in enumerate(finite) for b in finite[:i]),
+                            key=lambda t: t[0])
+            assert gap > 1e-3 and a.multiplicity == b.multiplicity == 1
+            mid = (a.location.affine + b.location.affine) / 2
+            kept = tuple(r for r in rs.roots if r is not a and r is not b)
+            return RootSet(kept + (Root(ProjectivePoint.from_affine(mid), 2, 0.0),))
+
+        monkeypatch.setattr(spectrum_module, "binary_form_roots", glued)
+        got = periodic_points(f, 3).points
+        assert all(p.multiplicity == 1 for p in got)
+
+        def finite(pts):
+            return sorted((p.location.affine for p in pts if not p.location.is_infinite),
+                          key=lambda z: (z.real, z.imag))
+
+        assert finite(got) == pytest.approx(finite(want), abs=1e-12)
+
+    def test_held_cluster_repels_seeds(self):
+        # level 2 of z^2+1/4: the parabolic 1/2 is held as a double root,
+        # and seeds started next to it must be pushed off to the period-2
+        # cycle -1/2 +- i instead of collapsing onto 1/2
+        engine = _OrbitDifferentials(rational_map_from_text("z^2+0.25"))
+        z, res = spectrum_module._functional_aberth_polish(
+            engine, 2, [0.5 + 0.05j, 0.5 - 0.05j], [(0.5, 2)])
+        assert sorted(z, key=lambda w: w.imag) == pytest.approx([-0.5 - 1j, -0.5 + 1j])
+        assert res.max() <= 1e-13
 
 
 class TestOrbitMultipliers:
@@ -219,6 +287,45 @@ class TestOracle:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             power_sums_oracle(power_map(2), 9, 3)
+
+    def test_matches_50_digit_reference(self):
+        # reference: the pipeline's level-3 points, Newton-refined on
+        # f^3(z) = z at 50 digits, and their multipliers' power sums. The
+        # quotient-algebra reduction in double precision was off by 4e-8
+        # here; in the extended dtype it stays near 2e-10.
+        mpmath = pytest.importorskip("mpmath")
+        n, kmax = 3, 4
+        with mpmath.workdps(50):
+            for seed in range(1, 6):
+                f = random_map(2, seed)
+                p = [mpmath.mpc(complex(c)) for c in f.p[::-1]]
+                q = [mpmath.mpc(complex(c)) for c in f.q[::-1]]
+
+                def orbit(z):
+                    w, lam = z, mpmath.mpc(1)
+                    for _ in range(n):
+                        pv, dp = mpmath.polyval(p, w, derivative=True)
+                        qv, dq = mpmath.polyval(q, w, derivative=True)
+                        lam *= (dp * qv - pv * dq) / qv**2
+                        w = pv / qv
+                    return w, lam
+
+                points = periodic_points(f, n).points
+                assert all(pt.multiplicity == 1 and not pt.location.is_infinite
+                           for pt in points)
+                zs = []
+                for pt in points:
+                    z = mpmath.mpc(pt.location.affine)
+                    for _ in range(6):
+                        w, lam = orbit(z)
+                        z -= (w - z) / (lam - 1)
+                    zs.append(z)
+                assert min(abs(a - b) for i, a in enumerate(zs) for b in zs[:i]) > 1e-6
+                lams = [orbit(z)[1] for z in zs]
+                got = power_sums_oracle(f, n, kmax)
+                for k in range(1, kmax + 1):
+                    ref = mpmath.fsum(lam**k for lam in lams)
+                    assert abs(mpmath.mpc(complex(got[k - 1])) - ref) <= 1e-9 * abs(ref)
 
 
 class TestIndexSum:
