@@ -38,7 +38,7 @@ from numpy.polynomial import polynomial as npoly
 from . import parser
 from .errors import BudgetExceeded, DegenerateMap, DegenerateTransform, DegreeTooLow, IndeterminateDerivative
 from .points import ProjectivePoint, as_point
-from .rootfind import binary_form_roots, roots
+from .rootfind import _chart_horner, binary_form_roots, roots
 
 EPS_DEGENERATE = 1e-12
 LOG_EPS_DEGENERATE = math.log(EPS_DEGENERATE)
@@ -380,10 +380,9 @@ class _OrbitDifferentials:
     def __init__(self, f: RationalMap):
         d = self.degree = f.degree
         # rows (P, Q, P_X, P_Y, Q_X, Q_Y) by coefficient, ascending in the
-        # chart variable: slab 0 for u = x/y, slab 1 for w = y/x. The
+        # chart variable: chart 0 for u = x/y, chart 1 for w = y/x. The
         # degree-(d-1) partials get a zero top coefficient, so one Horner
-        # pass covers all six; each point picks its chart's slab, and the
-        # trailing axis broadcasts over the points
+        # pass covers all six
         z_chart = np.zeros((d + 1, 6), dtype=complex)
         z_chart[:, 0], z_chart[:, 1] = f.p, f.q
         partials = [_form_partial_x(f.p), _form_partial_y(f.p),
@@ -392,21 +391,17 @@ class _OrbitDifferentials:
         w_chart = np.zeros_like(z_chart)
         w_chart[:, :2] = z_chart[::-1, :2]
         w_chart[:d, 2:] = z_chart[d - 1::-1, 2:]
-        self.table = np.stack([z_chart, w_chart])[..., None]
+        self.table = np.stack([z_chart, w_chart], axis=-1)
 
     def _step_values(self, x: np.ndarray, y: np.ndarray):
-        """(P, Q, P_X, P_Y, Q_X, Q_Y) at all points, chart per point."""
+        """(P, Q, P_X, P_Y, Q_X, Q_Y) at all points, chart per point, as a new array."""
         d = self.degree
         inner = np.abs(x) <= np.abs(y)
         num = np.where(inner, x, y)
         scale = np.where(inner, y, x)
         # a 0/0 point gets chart variable 0
         t = np.where(scale == 0, 0.0, num / np.where(scale == 0, 1.0, scale))
-        z_slab, w_slab = self.table
-        # Horner in polyval's exact operation order, t * 0 term included
-        vals = np.where(inner, z_slab[d], w_slab[d]) + t * 0
-        for j in range(d - 1, -1, -1):
-            vals = np.where(inner, z_slab[j], w_slab[j]) + vals * t
+        vals = _chart_horner(self.table, t, ~inner)
         vals[:2] *= scale**d
         vals[2:] *= scale ** (d - 1)
         return vals
@@ -421,17 +416,17 @@ class _OrbitDifferentials:
         cases come back as ratio 0 with residual inf.
         """
         z = np.asarray(z, dtype=complex)
-        x = z.copy()
-        y = np.ones_like(x)
-        dx = np.ones_like(x)
-        dy = np.zeros_like(x)
+        # rows x, y, dx, dy: the orbit point and its z-derivative
+        state = np.stack([z, np.ones_like(z), np.ones_like(z), np.zeros_like(z)])
         for _ in range(n):
-            pv, qv, vpx, vpy, vqx, vqy = self._step_values(x, y)
-            dx, dy = vpx * dx + vpy * dy, vqx * dx + vqy * dy
-            x, y = pv, qv
-            s = np.maximum(np.abs(x), np.abs(y))
-            s = np.where((s == 0) | ~np.isfinite(s), 1.0, s)
-            x, y, dx, dy = x / s, y / s, dx / s, dy / s
+            x, y, dx, dy = state
+            vals = self._step_values(x, y)
+            _, _, vpx, vpy, vqx, vqy = vals
+            vals[2], vals[3] = vpx * dx + vpy * dy, vqx * dx + vqy * dy
+            state = vals[:4]
+            s = np.maximum(np.abs(state[0]), np.abs(state[1]))
+            state /= np.where((s == 0) | ~np.isfinite(s), 1.0, s)
+        x, y, dx, dy = state
         num = x - z * y
         den = dx - y - z * dy
         bad = (den == 0) | ~np.isfinite(num) | ~np.isfinite(den)

@@ -78,7 +78,7 @@ def _initial_points(c: np.ndarray) -> np.ndarray:
 
     Points go on circles whose radii come from the slopes of the upper
     convex hull of (k, log |c_k|): each hull edge of horizontal length L
-    contributes L starts at модулus (|c_k1|/|c_k2|)^(1/L). A single
+    contributes L starts at modulus (|c_k1|/|c_k2|)^(1/L). A single
     Fujiwara circle stalls badly when the root moduli span many orders
     of magnitude (tiny leading coefficients put one root astronomically
     far out); the polygon puts every start on the right ring from the
@@ -108,44 +108,53 @@ def _initial_points(c: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _newton_correction(c, crev, dc, dcrev, z, scale):
+def _chart_horner(table: np.ndarray, t: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """All rows of a [coefficient, row, chart] table at chart variables t.
+
+    `outer` marks the points in chart 1. The slabs are gathered once,
+    points last and contiguous. Horner keeps polyval's exact operation
+    order (t * 0 term included), so zero-padded rows keep their bits.
+    """
+    slab = np.take(table, outer.astype(np.intp), axis=-1)
+    vals = slab[-1] + t * 0
+    for j in range(len(table) - 2, -1, -1):
+        vals = slab[j] + vals * t
+    return vals
+
+
+def _newton_table(c: np.ndarray) -> np.ndarray:
+    """The _chart_horner table of p and p' in both charts (chart 1 reversed)."""
+    m = len(c) - 1
+    table = np.zeros((m + 1, 2, 2), dtype=complex)
+    table[:, 0] = np.column_stack([c, c[::-1]])
+    table[:m, 1] = np.column_stack([npoly.polyder(c), npoly.polyder(c[::-1])])
+    return table
+
+
+def _newton_correction(table, z, scale):
     """Vectorized p(z)/p'(z) plus chart-relative residuals |p(z)|/scale.
 
-    Large arguments are routed through the reversed polynomial so that
-    high-degree evaluation never overflows.
+    Large arguments are evaluated through the reversed polynomial at
+    u = 1/z so that high-degree evaluation never overflows.
     """
-    m = len(c) - 1
-    z = np.asarray(z)
-    out = np.empty_like(z)
-    res = np.empty(len(z), dtype=float)
+    m = len(table) - 1
     inner = np.abs(z) <= 1.0
-    if np.any(inner):
-        zi = z[inner]
-        pv = npoly.polyval(zi, c)
-        dv = npoly.polyval(zi, dc)
-        dv = np.where(dv == 0, _EPS, dv)
-        out[inner] = pv / dv
-        res[inner] = np.abs(pv) / scale
-    if np.any(~inner):
-        zo = z[~inner]
-        u = 1.0 / zo
-        pv = npoly.polyval(u, crev)
-        du = npoly.polyval(u, dcrev)
-        denom = m * pv - u * du
-        denom = np.where(denom == 0, _EPS, denom)
-        out[~inner] = zo * pv / denom
-        res[~inner] = np.abs(pv) / scale
-    return out, res
+    outer = ~inner
+    u = np.divide(1.0, z, out=z.copy(), where=outer)
+    pv, dv = _chart_horner(table, u, outer)
+    # outside: p(z)/p'(z) = z * prev(u) / (m * prev(u) - u * prev'(u))
+    num = np.where(inner, pv, z * pv)
+    denom = np.where(inner, dv, m * pv - u * dv)
+    denom = np.where(denom == 0, _EPS, denom)
+    return num / denom, np.abs(pv) / scale
 
 
-def _aberth(c: np.ndarray, residual_tol: float) -> np.ndarray:
-    """Approximate all roots of c (ascending coeffs, c[0] != 0, deg >= 1)."""
+def _aberth(table: np.ndarray, residual_tol: float) -> np.ndarray:
+    """Approximate all roots of the _newton_table's p (p(0) != 0, deg >= 1)."""
+    c = table[:, 0, 0]
     m = len(c) - 1
     if m == 1:
         return np.array([-c[0] / c[1]])
-    crev = c[::-1].copy()
-    dc = npoly.polyder(c)
-    dcrev = npoly.polyder(crev)
     scale = float(np.max(np.abs(c)))
 
     z = _initial_points(c)
@@ -159,7 +168,7 @@ def _aberth(c: np.ndarray, residual_tol: float) -> np.ndarray:
         # settled roots stay put; each live row still sums over all m roots
         live = np.flatnonzero(~done)
         zl = z[live]
-        w, res = _newton_correction(c, crev, dc, dcrev, zl, scale)
+        w, res = _newton_correction(table, zl, scale)
         diff = zl[:, None] - z[None, :]
         diff[np.arange(len(live)), live] = np.inf
         repulsion = np.sum(1.0 / diff, axis=1)
@@ -174,7 +183,7 @@ def _aberth(c: np.ndarray, residual_tol: float) -> np.ndarray:
 
     # per-root Newton polish
     for _ in range(NEWTON_STEPS):
-        w, res = _newton_correction(c, crev, dc, dcrev, z, scale)
+        w, res = _newton_correction(table, z, scale)
         z = z - w
         if np.all(res <= 0.01 * residual_tol):
             break
@@ -217,8 +226,7 @@ def roots(p, residual_tol: float = 1e-10) -> RootSet:
     computation layered on top of this one. With residual_tol=inf there
     is no gate.
     """
-    coeffs = np.asarray(p, dtype=complex)
-    coeffs = _trim_leading(coeffs)
+    coeffs = _trim_leading(np.asarray(p, dtype=complex))
     m = len(coeffs) - 1
     if m < 1:
         raise ValueError("root finding needs degree >= 1")
@@ -232,15 +240,14 @@ def roots(p, residual_tol: float = 1e-10) -> RootSet:
         zero_mult += 1
     core = coeffs[zero_mult:]
 
+    table = _newton_table(coeffs)
     found: list[tuple[complex, int]] = []
     if zero_mult:
         found.append((0j, zero_mult))
     if len(core) > 1:
-        approx = _aberth(core, residual_tol)
+        core_table = _newton_table(core) if zero_mult else table
+        approx = _aberth(core_table, residual_tol)
         clusters = _cluster(approx, CLUSTER_RADIUS)
-        crev_core = core[::-1].copy()
-        dc_core = npoly.polyder(core)
-        dcrev_core = npoly.polyder(crev_core)
         core_scale = float(np.max(np.abs(core)))
         for center, mult in clusters:
             if mult > 1:
@@ -250,20 +257,18 @@ def roots(p, residual_tol: float = 1e-10) -> RootSet:
                 # the refined point only while the residual improves.
                 zc = np.array([center])
                 best = center
-                w, res = _newton_correction(core, crev_core, dc_core, dcrev_core, zc, core_scale)
+                w, res = _newton_correction(core_table, zc, core_scale)
                 best_res = float(res[0])
                 for _ in range(NEWTON_STEPS):
                     zc = zc - mult * w
-                    w, res = _newton_correction(core, crev_core, dc_core, dcrev_core, zc, core_scale)
+                    w, res = _newton_correction(core_table, zc, core_scale)
                     if res[0] <= best_res:
                         best, best_res = complex(zc[0]), float(res[0])
                 center = best
             found.append((center, mult))
 
-    crev = coeffs[::-1].copy()
     centers = np.array([c for c, _ in found], dtype=complex)
-    residuals = _newton_correction(coeffs, crev, npoly.polyder(coeffs), npoly.polyder(crev),
-                                   centers, scale)[1]
+    residuals = _newton_correction(table, centers, scale)[1]
     worst = float(residuals.max()) if len(residuals) else 0.0
     if worst > residual_tol:
         raise NoConvergence("root finder missed the residual tolerance", worst)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from numpy.polynomial import polynomial as npoly
 
 from multispec import NoConvergence, binary_form_roots, roots
 from multispec import rootfind
+from multispec.families import random_map
+from multispec.spectrum import fixed_point_form
 
 
 def locations(rs):
@@ -113,6 +116,66 @@ def test_triple_root_bits_are_pinned():
     assert hashlib.sha256(repr(reprs).encode()).hexdigest() == (
         "248c2bdd7d489ff4776ccb59aca82056993d417001610859b9d4828434b4b06a")
 
+
+
+def test_seeding_root_bits_are_pinned_at_census_degree():
+    # a degree-257 level-8 fixed form, seeded with no residual gate as the
+    # level pipeline does; sha256 recorded with numpy 2.4.6 on x86-64
+    form = fixed_point_form(random_map(2, 11), 8)
+    rs = binary_form_roots(form, 257, residual_tol=math.inf)
+    reprs = [(repr(r.location), r.multiplicity, repr(r.residual)) for r in rs.roots]
+    assert hashlib.sha256(repr(reprs).encode()).hexdigest() == (
+        "72c8e495565a6a8e0868f3219ec14b8fe85cf6f935420f4653c3f2798bf25a31")
+
+
+def _polyval_newton_correction(c, z, scale):
+    """Reference: p/p' and |p|/scale from four polyval calls, points split by chart."""
+    m = len(c) - 1
+    crev = c[::-1].copy()
+    dc, dcrev = npoly.polyder(c), npoly.polyder(crev)
+    out = np.empty_like(z)
+    res = np.empty(len(z), dtype=float)
+    inner = np.abs(z) <= 1.0
+    if np.any(inner):
+        zi = z[inner]
+        pv, dv = npoly.polyval(zi, c), npoly.polyval(zi, dc)
+        dv = np.where(dv == 0, rootfind._EPS, dv)
+        out[inner] = pv / dv
+        res[inner] = np.abs(pv) / scale
+    if np.any(~inner):
+        zo = z[~inner]
+        u = 1.0 / zo
+        pv, du = npoly.polyval(u, crev), npoly.polyval(u, dcrev)
+        denom = m * pv - u * du
+        denom = np.where(denom == 0, rootfind._EPS, denom)
+        out[~inner] = zo * pv / denom
+        res[~inner] = np.abs(pv) / scale
+    return out, res
+
+
+@pytest.mark.parametrize("degree", [1, 2, 8, 65, 257, 513])
+def test_newton_correction_matches_polyval_bit_for_bit(degree):
+    rng = np.random.default_rng(500 + degree)
+    c = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+    scale = float(np.max(np.abs(c)))
+    inside = np.sqrt(rng.uniform(size=40)) * np.exp(2j * np.pi * rng.uniform(size=40))
+    outside = np.exp(rng.uniform(0.0, 8.0, size=40) + 2j * np.pi * rng.uniform(size=40))
+    # |z| == 1 exactly for each of these
+    circle = [1, -1, 1j, -1j, 0.6 + 0.8j, 0.8 - 0.6j, -0.28 + 0.96j]
+    edge = [0, 1e150, -3e149 + 1e150j]
+    z = np.concatenate([inside, outside, np.array(circle + edge, dtype=complex)])
+    assert np.count_nonzero(np.abs(z) == 1.0) == len(circle)
+    table = rootfind._newton_table(c)
+    got = rootfind._newton_correction(table, z, scale)
+    want = _polyval_newton_correction(c, z, scale)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    # a live subset, as the Aberth sweep evaluates it
+    live = np.flatnonzero(rng.uniform(size=len(z)) < 0.3)
+    got = rootfind._newton_correction(table, z[live], scale)
+    want = _polyval_newton_correction(c, z[live], scale)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 def test_no_convergence_is_an_error(monkeypatch):
     rng = np.random.default_rng(3)

@@ -492,3 +492,14 @@ def test_spectrum_matches_levels():
     assert close(s.levels[0], spectrum_level(f, 1), tol=1e-12)
     assert close(s.levels[1], spectrum_level(f, 2), tol=1e-12)
     assert s.degree == 2 and s.max_period == 2
+
+
+def test_package_attribute_spectrum_is_the_function():
+    # the package re-exports the function under the module's own name;
+    # the module itself is reached through importlib
+    import multispec
+    import multispec.spectrum as bound
+
+    assert multispec.spectrum is spectrum_module.spectrum
+    assert bound is spectrum_module.spectrum
+    assert spectrum_module.__name__ == "multispec.spectrum"
