@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -64,10 +65,11 @@ def _validate(args):
     opts = vars(args)
     if opts.get("max_period", 1) < 1:
         raise ValueError("--max-period must be >= 1")
+    # the comparisons also refuse nan and inf
     for name in ("tol", "quantum"):
-        if opts.get(name, 1.0) <= 0:
+        if not 0 < opts.get(name, 1.0) < math.inf:
             raise ValueError(f"--{name} must be positive")
-    if opts.get("grid", 1) < 1 or opts.get("box", 1.0) <= 0:
+    if opts.get("grid", 1) < 1 or not 0 < opts.get("box", 1.0) < math.inf:
         raise ValueError("--grid must be >= 1 and --box positive")
 
 

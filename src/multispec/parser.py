@@ -345,7 +345,7 @@ def format_polynomial(coeffs) -> str:
                 body = f"-{zpow}"
             else:
                 lit = format_complex(c)
-                if (c.real != 0 and c.imag != 0) or c.imag != 0:
+                if c.imag != 0:
                     lit = f"({lit})"
                 body = f"{lit}*{zpow}"
         terms.append(body)

@@ -38,7 +38,7 @@ from numpy.polynomial import polynomial as npoly
 from . import parser
 from .errors import BudgetExceeded, DegenerateMap, DegenerateTransform, DegreeTooLow, IndeterminateDerivative
 from .points import ProjectivePoint, as_point
-from .rootfind import _chart_horner, binary_form_roots, roots
+from .rootfind import _chart_horner, _form_partials, binary_form_roots, roots
 
 EPS_DEGENERATE = 1e-12
 LOG_EPS_DEGENERATE = math.log(EPS_DEGENERATE)
@@ -333,10 +333,6 @@ class MobiusTransform:
     def inverse(self) -> "MobiusTransform":
         return MobiusTransform(self.d, -self.b, -self.c, self.a)
 
-    def apply(self, point) -> ProjectivePoint:
-        pt = as_point(point)
-        return ProjectivePoint(self.a * pt.x + self.b * pt.y, self.c * pt.x + self.d * pt.y)
-
     @property
     def form_pair(self) -> tuple[np.ndarray, np.ndarray]:
         # degree-1 forms aX + bY and cX + dY, ascending in the affine variable
@@ -385,9 +381,7 @@ class _OrbitDifferentials:
         # pass covers all six
         z_chart = np.zeros((d + 1, 6), dtype=complex)
         z_chart[:, 0], z_chart[:, 1] = f.p, f.q
-        partials = [_form_partial_x(f.p), _form_partial_y(f.p),
-                    _form_partial_x(f.q), _form_partial_y(f.q)]
-        z_chart[:d, 2:] = np.column_stack(partials)
+        z_chart[:d, 2:] = np.column_stack([*_form_partials(f.p), *_form_partials(f.q)])
         w_chart = np.zeros_like(z_chart)
         w_chart[:, :2] = z_chart[::-1, :2]
         w_chart[:d, 2:] = z_chart[d - 1::-1, 2:]
@@ -532,21 +526,11 @@ class CriticalData:
         return sum(p.multiplicity for p in self.points)
 
 
-def _form_partial_x(c: np.ndarray) -> np.ndarray:
-    m = len(c) - 1
-    return np.array([(j + 1) * c[j + 1] for j in range(m)], dtype=complex)
-
-
-def _form_partial_y(c: np.ndarray) -> np.ndarray:
-    m = len(c) - 1
-    return np.array([(m - j) * c[j] for j in range(m)], dtype=complex)
-
-
 def critical_data(f: RationalMap) -> CriticalData:
     """Critical points (Wronskian roots, multiplicity included) and values."""
-    w = np.convolve(_form_partial_x(f.p), _form_partial_y(f.q)) - np.convolve(
-        _form_partial_y(f.p), _form_partial_x(f.q)
-    )
+    px, py = _form_partials(f.p)
+    qx, qy = _form_partials(f.q)
+    w = np.convolve(px, qy) - np.convolve(py, qx)
     scale = float(np.max(np.abs(w)))
     if scale > 0:
         w = w / scale

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import NoConvergence
 from .points import ProjectivePoint
@@ -122,12 +121,26 @@ def _chart_horner(table: np.ndarray, t: np.ndarray, outer: np.ndarray) -> np.nda
     return vals
 
 
-def _newton_table(c: np.ndarray) -> np.ndarray:
-    """The _chart_horner table of p and p' in both charts (chart 1 reversed)."""
+def _form_partials(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The partials (dX, dY) of the binary form sum c_k X^k Y^(m-k).
+
+    This is numpy's polynomial derivative arithmetic, unit pre-multiply
+    included: the multiply fixes the sign of zero parts (the term of a
+    -0-0j coefficient comes out +0+0j), so dX and the reversed dY are the
+    derivatives of c and c[::-1] as numpy gives them, to the bit.
+    """
     m = len(c) - 1
+    unit = c * 1
+    return unit[1:] * np.arange(1, m + 1), unit[:-1] * np.arange(m, 0, -1)
+
+
+def _newton_table(c: np.ndarray) -> np.ndarray:
+    """The _chart_horner table of p and p' in both charts (p' is dX, then reversed dY)."""
+    m = len(c) - 1
+    dx, dy = _form_partials(c)
     table = np.zeros((m + 1, 2, 2), dtype=complex)
     table[:, 0] = np.column_stack([c, c[::-1]])
-    table[:m, 1] = np.column_stack([npoly.polyder(c), npoly.polyder(c[::-1])])
+    table[:m, 1] = np.column_stack([dx, dy[::-1]])
     return table
 
 

@@ -155,8 +155,9 @@ def _functional_aberth_polish(engine: _OrbitDifferentials, n: int, approx: list[
     the orbit recursion. Mutual repulsion keeps approximations from
     collapsing onto one root when the form-based starting points are
     poor; `held` lists clustered (multiple) roots that stay fixed but
-    still repel with their multiplicity. Returns the polished points and
-    their functional residuals.
+    still repel with their multiplicity. The first sweep checks the seeds:
+    per point the polish returns the better of seed and polished value,
+    with that value's functional residual.
     """
     z = np.array(approx, dtype=complex)
     m = len(z)
@@ -170,10 +171,12 @@ def _functional_aberth_polish(engine: _OrbitDifferentials, n: int, approx: list[
     best_worst = math.inf
     most_frozen = 0
     since_improve = 0
-    for _ in range(max_iter):
+    for sweep in range(max_iter):
         active = ~frozen
         ratios_a, res_a = engine.newton_data(n, z[active])
         res_all[active] = res_a
+        if sweep == 0:
+            seed_z, seed_res = z.copy(), res_all.copy()
         ratios = np.zeros(m, dtype=complex)
         ratios[active] = ratios_a
         # freeze on the target, or once a point bounces at its own
@@ -235,7 +238,8 @@ def _functional_aberth_polish(engine: _OrbitDifferentials, n: int, approx: list[
         rl = res_all[live]
         rl[improved] = res_t[improved]
         res_all[live] = rl
-    return z, res_all
+    keep = res_all <= seed_res
+    return np.where(keep, z, seed_z), np.where(keep, res_all, seed_res)
 
 
 # post-polish functional gate: points worse than this are garbage
@@ -249,7 +253,8 @@ def _chordal_matrix(z: np.ndarray) -> np.ndarray:
     return d * w[:, None] * w[None, :]
 
 
-def _periodic_points_from(f: RationalMap, g: RationalMap, n: int) -> PeriodicPointSet:
+def _periodic_points_from(engine: _OrbitDifferentials, g: RationalMap, n: int) -> PeriodicPointSet:
+    """The level-n periodic points of engine's map, seeded from g = f^n."""
     form = _fixed_form_of(g)
     # Root extraction here only seeds the functional polish, which
     # re-verifies every simple point against f^n(z) = z itself, so it runs
@@ -259,7 +264,6 @@ def _periodic_points_from(f: RationalMap, g: RationalMap, n: int) -> PeriodicPoi
     # periodic points), and an occasional unconverged seed is repaired by
     # the polish rather than reported.
     rs = binary_form_roots(form, g.degree + 1, residual_tol=math.inf)
-    engine = _OrbitDifferentials(f)
 
     inf_roots = [r for r in rs.roots if r.location.is_infinite]
     seeds: list[complex] = []
@@ -286,13 +290,8 @@ def _periodic_points_from(f: RationalMap, g: RationalMap, n: int) -> PeriodicPoi
 
     locations: list[ProjectivePoint] = []
     if seeds:
-        seed_arr = np.array(seeds, dtype=complex)
-        _, res_seed = engine.newton_data(n, seed_arr)
-        polished, res_new = _functional_aberth_polish(engine, n, seeds, held)
-        keep_new = res_new <= res_seed
-        final = np.where(keep_new, polished, seed_arr)
-        res_final = np.where(keep_new, res_new, res_seed)
-        worst = float(res_final.max()) if len(final) else 0.0
+        final, res_final = _functional_aberth_polish(engine, n, seeds, held)
+        worst = float(res_final.max())
         if worst > _FUNCTIONAL_GATE:
             raise NoConvergence(
                 f"periodic point of level {n} failed functional verification",
@@ -317,7 +316,7 @@ def _periodic_points_from(f: RationalMap, g: RationalMap, n: int) -> PeriodicPoi
     pts = [PeriodicPoint(loc, mult, complex(lam))
            for (loc, mult), lam in zip(all_points, lams)]
     pps = PeriodicPointSet(n, tuple(pts))
-    expected = f.degree**n + 1
+    expected = engine.degree**n + 1
     if pps.total_multiplicity != expected:
         raise AssertionError(
             f"periodic point count {pps.total_multiplicity} != {expected}; "
@@ -328,8 +327,7 @@ def _periodic_points_from(f: RationalMap, g: RationalMap, n: int) -> PeriodicPoi
 
 def periodic_points(f: RationalMap, n: int) -> PeriodicPointSet:
     """All d^n + 1 fixed points of f^n with multiplicities and multipliers."""
-    g = iterate(f, n)
-    return _periodic_points_from(f, g, n)
+    return _periodic_points_from(_OrbitDifferentials(f), iterate(f, n), n)
 
 
 def elementary_symmetric(values) -> list[complex]:
@@ -352,16 +350,17 @@ def spectrum_level(f: RationalMap, n: int) -> tuple[complex, ...]:
 def periodic_point_levels(f: RationalMap, max_period: int) -> list[PeriodicPointSet]:
     """Periodic point sets for every level 1..max_period.
 
-    One composition chain serves all levels, so this is much cheaper
-    than calling periodic_points per level.
+    One composition chain and one orbit engine serve all levels, so this
+    is much cheaper than calling periodic_points per level.
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
     _check_budget(f.degree, max_period)
+    engine = _OrbitDifferentials(f)
     out = []
     g = f
     for n in range(1, max_period + 1):
-        out.append(_periodic_points_from(f, g, n))
+        out.append(_periodic_points_from(engine, g, n))
         if n < max_period:
             g = compose(f, g)
     return out
@@ -619,8 +618,8 @@ def quantized_levels(s: MultiplierSpectrum, quantum: float = DEFAULT_QUANTUM):
 
 def fingerprint(s: MultiplierSpectrum, quantum: float = DEFAULT_QUANTUM) -> SpectrumFingerprint:
     """Stable 64-bit FNV-1a digest of the quantized spectrum."""
-    if quantum <= 0:
-        raise ValueError("quantum must be positive")
+    if not 0 < quantum < math.inf:
+        raise ValueError(f"quantum must be positive and finite, got {quantum}")
     data = b"".join(struct.pack("<qqq", *_quantize_entry(e, quantum))
                     for level in s.levels for e in level)
     return SpectrumFingerprint(_fnv64(data), quantum)

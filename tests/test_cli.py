@@ -266,6 +266,15 @@ class TestOptionValidation:
         (["catalog", "query", "--store", "x.cat", "--map", "z^2", "--quantum", "-1"],
          "--quantum must be positive"),
         (["fiber-scan", "--grid", "0"], "--grid must be >= 1"),
+        # non-finite values: nan passes a bare `<= 0` test, inf a bare `> 0`
+        (["compare", "z^2", "z^2", "--tol", "nan"], "--tol must be positive"),
+        (["compare", "z^2", "z^2+1", "--tol", "inf"], "--tol must be positive"),
+        (["catalog", "add", "--store", "x.cat", "--map", "z^2", "--quantum", "inf"],
+         "--quantum must be positive"),
+        (["catalog", "add", "--store", "x.cat", "--map", "z^2", "--quantum", "nan"],
+         "--quantum must be positive"),
+        (["fiber-scan", "--box", "nan"], "--box positive"),
+        (["fiber-scan", "--box", "inf"], "--box positive"),
     ])
     def test_bad_values_exit_2(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)

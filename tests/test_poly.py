@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -7,6 +9,7 @@ from multispec import (
     DegenerateMap,
     DegenerateTransform,
     DegreeTooLow,
+    LattesParams,
     MobiusTransform,
     ProjectivePoint,
     compose,
@@ -15,6 +18,7 @@ from multispec import (
     derivative_at,
     is_simple,
     iterate,
+    lattes_mult2,
     make_map,
     milnor_quadratic,
     random_map,
@@ -22,7 +26,7 @@ from multispec import (
     rational_map_from_text,
     sylvester_resultant,
 )
-from multispec.poly import _OrbitDifferentials, _form_partial_x, _form_partial_y
+from multispec.poly import _OrbitDifferentials
 
 
 def coeffs_match(f, g, tol=1e-10):
@@ -192,6 +196,23 @@ class TestCriticalData:
         simple = sum(1 for seed in range(100) if is_simple(random_map(3, 40_000 + seed)))
         assert simple >= 99
 
+    # sha256 of the reprs of (location, multiplicity, value), recorded with
+    # numpy 2.4.6 on x86-64: the Wronskian's partials must keep every bit
+    @pytest.mark.parametrize("make, expected", [
+        (lambda: rational_map_from_text("z^2-1"),
+         "53dc14066c6470ff7001d1b2a0502c34b95a57d16e38ead2f7156bcf7242e1c1"),
+        (lambda: rational_map_from_text("1/z^2"),
+         "45c5dc1bf82207c11a98608861b11beb24b239abc525450bf9cc7b545bb154ca"),
+        (lambda: lattes_mult2(LattesParams(-1, 0)),
+         "20df321efdd53e9631c7a99d6312b0847786df02ee8a1fc7866fc6dc207f275f"),
+        (lambda: random_map(3, 7),
+         "41ce8904fe0643ea8ab352f5e3fdada9043f73899ad750dde54617255775fe3e"),
+    ], ids=["z^2-1", "1/z^2", "lattes", "random-cubic"])
+    def test_critical_point_bits_are_pinned(self, make, expected):
+        points = critical_data(make()).points
+        reprs = [(repr(p.location), p.multiplicity, repr(p.value)) for p in points]
+        assert hashlib.sha256(repr(reprs).encode()).hexdigest() == expected
+
 
 def test_iterate_semigroup_property():
     # iterate(f, a+b) == compose(iterate(f,a), iterate(f,b)) within 1e-10,
@@ -205,12 +226,23 @@ def test_iterate_semigroup_property():
         assert coeffs_match(lhs, rhs, 1e-10)
 
 
+def _partial_x(c):
+    m = len(c) - 1
+    return np.array([(j + 1) * c[j + 1] for j in range(m)], dtype=complex)
+
+
+def _partial_y(c):
+    m = len(c) - 1
+    return np.array([(m - j) * c[j] for j in range(m)], dtype=complex)
+
+
 def _polyval_step_values(f, x, y):
-    """Reference: the six step values from one polyval call per group and chart."""
+    """Reference: the six step values from one polyval call per group and chart,
+    with the partials written out term by term."""
     d = f.degree
     forms = np.column_stack([f.p, f.q])
-    partials = np.column_stack([_form_partial_x(f.p), _form_partial_y(f.p),
-                                _form_partial_x(f.q), _form_partial_y(f.q)])
+    partials = np.column_stack([_partial_x(f.p), _partial_y(f.p),
+                                _partial_x(f.q), _partial_y(f.q)])
     inner = np.abs(x) <= np.abs(y)
     outer = ~inner
     vals = np.empty((6, len(x)), dtype=complex)

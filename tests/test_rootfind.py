@@ -153,11 +153,28 @@ def _polyval_newton_correction(c, z, scale):
     return out, res
 
 
+def _signed_zero_coeffs(rng, degree):
+    """Two real coefficient arrays whose zero parts carry both signs.
+
+    The first is random, with -0-0j at every third entry. The second is
+    z^(d-1) (z + 1) with -0-0j for every zero coefficient: at its exact
+    root -1, p/p' is a signed zero whose sign comes from p', and so from
+    the sign of the zero parts of the derivative coefficients.
+    """
+    c = np.empty(degree + 1, dtype=complex)
+    c.real = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, -2.5], size=degree + 1)
+    c.imag = rng.choice([0.0, -0.0], size=degree + 1)
+    c[::3] = complex(-0.0, -0.0)
+    c[-1] = 1.0
+    rooted = np.full(degree + 1, complex(-0.0, -0.0))
+    rooted[-2:] = 1.0
+    return c, rooted
+
+
 @pytest.mark.parametrize("degree", [1, 2, 8, 65, 257, 513])
 def test_newton_correction_matches_polyval_bit_for_bit(degree):
     rng = np.random.default_rng(500 + degree)
     c = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
-    scale = float(np.max(np.abs(c)))
     inside = np.sqrt(rng.uniform(size=40)) * np.exp(2j * np.pi * rng.uniform(size=40))
     outside = np.exp(rng.uniform(0.0, 8.0, size=40) + 2j * np.pi * rng.uniform(size=40))
     # |z| == 1 exactly for each of these
@@ -165,17 +182,24 @@ def test_newton_correction_matches_polyval_bit_for_bit(degree):
     edge = [0, 1e150, -3e149 + 1e150j]
     z = np.concatenate([inside, outside, np.array(circle + edge, dtype=complex)])
     assert np.count_nonzero(np.abs(z) == 1.0) == len(circle)
-    table = rootfind._newton_table(c)
-    got = rootfind._newton_correction(table, z, scale)
-    want = _polyval_newton_correction(c, z, scale)
-    for a, b in zip(got, want):
-        assert a.tobytes() == b.tobytes()
-    # a live subset, as the Aberth sweep evaluates it
     live = np.flatnonzero(rng.uniform(size=len(z)) < 0.3)
-    got = rootfind._newton_correction(table, z[live], scale)
-    want = _polyval_newton_correction(c, z[live], scale)
-    for a, b in zip(got, want):
-        assert a.tobytes() == b.tobytes()
+    cases = [(c, z, live)]
+    # real coefficients with signed zero parts, at 0 and at real points
+    # (+0 imaginary parts) inside and outside the unit disk
+    real = np.concatenate([[0.0, -1.0, 1.0, -0.5, 0.5], 3.0 * rng.normal(size=20)])
+    real = real.astype(complex)
+    for signed in _signed_zero_coeffs(rng, degree):
+        cases.append((signed, real, np.arange(0, len(real), 3)))
+    for coeffs, points, subset in cases:
+        scale = float(np.max(np.abs(coeffs)))
+        table = rootfind._newton_table(coeffs)
+        # all points, then a live subset as the Aberth sweep evaluates it
+        for pts in (points, points[subset]):
+            got = rootfind._newton_correction(table, pts, scale)
+            want = _polyval_newton_correction(coeffs, pts, scale)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
 
 def test_no_convergence_is_an_error(monkeypatch):
     rng = np.random.default_rng(3)

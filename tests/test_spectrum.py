@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -182,6 +183,34 @@ class TestPolishSafetyPaths:
             engine, 2, [0.5 + 0.05j, 0.5 - 0.05j], [(0.5, 2)])
         assert sorted(z, key=lambda w: w.imag) == pytest.approx([-0.5 - 1j, -0.5 + 1j])
         assert res.max() <= 1e-13
+
+    def test_polish_never_leaves_a_point_worse_than_its_seed(self, monkeypatch):
+        # an engine that pushes one seed off and reports a worse residual
+        # anywhere near it than at the seed itself: the polish can only
+        # worsen that point, so the level must emit the seed, and the
+        # polish must hand back the seed's own residual with it
+        f = random_map(2, 11)
+        form = fixed_point_form(f, 3)
+        rs = binary_form_roots(form, 9, residual_tol=math.inf)
+        seeds = [r.location.affine for r in rs.roots if not r.location.is_infinite]
+        target = seeds[0]
+
+        class Worsening(_OrbitDifferentials):
+            def newton_data(self, n, z):
+                ratio, res = super().newton_data(n, z)
+                at = z == target
+                near = (np.abs(z - target) <= 1e-3) & ~at
+                ratio = np.where(at, 1e-6, ratio)
+                res = np.where(at, 1e-9, np.where(near, 1e-8, res))
+                return ratio, res
+
+        z, res = spectrum_module._functional_aberth_polish(Worsening(f), 3, seeds, [])
+        assert z[0] == target and res[0] == 1e-9
+        assert res[1:].max() <= 1e-12
+
+        monkeypatch.setattr(spectrum_module, "_OrbitDifferentials", Worsening)
+        emitted = [p.location for p in periodic_points(f, 3).points]
+        assert ProjectivePoint.from_affine(target) in emitted
 
 
 class TestOrbitMultipliers:
@@ -448,8 +477,10 @@ class TestFingerprint:
             quantized_levels(s)
 
     def test_quantum_validation(self):
-        with pytest.raises(ValueError):
-            fingerprint(spectrum(power_map(2), 1), quantum=0.0)
+        s = spectrum(power_map(2), 1)
+        for quantum in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                fingerprint(s, quantum=quantum)
 
     @pytest.mark.parametrize("text, max_period, digest", [
         ("z^2-1", 2, "9e0103ecfc2fa174"),
