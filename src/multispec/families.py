@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetExceeded, DegenerateParameters, NotRealizable, SingularCurve
+from .errors import BudgetExceeded, DegenerateParameters, MultispecError, NotRealizable, SingularCurve
 from .poly import (
     MAX_POINTS,
     MobiusTransform,
@@ -209,7 +209,7 @@ def random_map(d: int, seed: int) -> RationalMap:
         den = [_disk_sample(rng) for _ in range(d + 1)]
         try:
             f = make_map(num, den)
-        except Exception:
+        except MultispecError:  # a rejected candidate; a bug still propagates
             continue
         if f.degree != d:
             continue

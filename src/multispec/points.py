@@ -20,7 +20,8 @@ class ProjectivePoint:
 
     def __post_init__(self):
         scale = max(abs(self.x), abs(self.y))
-        if scale == 0.0 or not (math.isfinite(scale)):
+        # each coordinate is tested: max() passes over a nan in second place
+        if scale == 0.0 or not (cmath.isfinite(self.x) and cmath.isfinite(self.y)):
             raise ValueError("projective point needs a finite nonzero representative")
         if scale != 1.0:
             object.__setattr__(self, "x", self.x / scale)

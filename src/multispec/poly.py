@@ -281,16 +281,11 @@ def substitute_forms(outer_p, outer_q, inner_p, inner_q):
     return new_p, new_q
 
 
-def _composed_log_res(outer_deg: int, outer_log: float,
-                      inner_deg: int, inner_log: float) -> float:
-    # Res(F o G) = Res(F)**deg(G) * Res(G)**(deg F)**2
-    return inner_deg * outer_log + outer_deg**2 * inner_log
-
-
 def compose(f: RationalMap, g: RationalMap) -> RationalMap:
     """f after g; degree multiplies."""
     new_p, new_q = substitute_forms(f.p, f.q, g.p, g.q)
-    predicted = _composed_log_res(f.degree, f.log_resultant, g.degree, g.log_resultant)
+    # Res(F o G) = Res(F)**deg(G) * Res(G)**(deg F)**2
+    predicted = g.degree * f.log_resultant + f.degree**2 * g.log_resultant
     return _finalize(new_p, new_q, f.degree * g.degree, predicted)
 
 
@@ -334,29 +329,22 @@ class MobiusTransform:
         return MobiusTransform(self.d, -self.b, -self.c, self.a)
 
     @property
-    def form_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        # degree-1 forms aX + bY and cX + dY, ascending in the affine variable
-        return (
-            np.array([self.b, self.a], dtype=complex),
-            np.array([self.d, self.c], dtype=complex),
-        )
+    def _map(self) -> RationalMap:
+        """The degree-1 map (az + b)/(cz + d), for compose.
 
-    @property
-    def log_resultant(self) -> float:
-        return math.log(abs(self.a * self.d - self.b * self.c))
+        Built directly: the determinant check above is its degeneracy
+        gate, not make_map's resultant threshold.
+        """
+        p = np.array([self.b, self.a], dtype=complex)
+        q = np.array([self.d, self.c], dtype=complex)
+        p.flags.writeable = False
+        q.flags.writeable = False
+        return RationalMap(p, q, 1, math.log(abs(self.a * self.d - self.b * self.c)))
 
 
 def conjugate(f: RationalMap, phi: MobiusTransform) -> RationalMap:
     """phi o f o phi^{-1}; same degree, different representative."""
-    inv = phi.inverse()
-    inv_p, inv_q = inv.form_pair
-    mid_p, mid_q = substitute_forms(f.p, f.q, inv_p, inv_q)
-    predicted = _composed_log_res(f.degree, f.log_resultant, 1, inv.log_resultant)
-    mid = _finalize(mid_p, mid_q, f.degree, predicted)
-    phi_p, phi_q = phi.form_pair
-    new_p, new_q = substitute_forms(phi_p, phi_q, mid.p, mid.q)
-    predicted = _composed_log_res(1, phi.log_resultant, f.degree, mid.log_resultant)
-    return _finalize(new_p, new_q, f.degree, predicted)
+    return compose(phi._map, compose(f, phi.inverse()._map))
 
 
 # ---------------------------------------------------------------------------

@@ -561,6 +561,8 @@ def compare_spectra(a: MultiplierSpectrum, b: MultiplierSpectrum,
                     tol: float = 1e-8) -> tuple[bool, float]:
     """Scaled sup-distance between spectra; equal iff distance <= tol.
     An inf or nan entry has no distance and raises NonFiniteSpectrum."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be non-negative and finite, got {tol}")
     if a.degree != b.degree or a.max_period != b.max_period:
         raise ShapeMismatch(
             f"cannot compare (d={a.degree}, n={a.max_period}) "
@@ -603,13 +605,19 @@ def _quantize_entry(e: complex, quantum: float) -> tuple[int, int, int]:
     )
 
 
+def _quantized(s: MultiplierSpectrum, quantum: float) -> list[list[tuple[int, int, int]]]:
+    """_quantize_entry of every entry, per level, for a checked quantum."""
+    if not 0 < quantum < math.inf:
+        raise ValueError(f"quantum must be positive and finite, got {quantum}")
+    return [[_quantize_entry(e, quantum) for e in level] for level in s.levels]
+
+
 def quantized_levels(s: MultiplierSpectrum, quantum: float = DEFAULT_QUANTUM):
     """Grid-snapped (re, im) values per level, as stored in the catalog."""
     out = []
-    for level in s.levels:
+    for level in _quantized(s, quantum):
         snapped = []
-        for e in level:
-            qre, qim, exp2 = _quantize_entry(e, quantum)
+        for qre, qim, exp2 in level:
             step = quantum * 2.0**exp2
             snapped.append((qre * step, qim * step))
         out.append(snapped)
@@ -618,10 +626,8 @@ def quantized_levels(s: MultiplierSpectrum, quantum: float = DEFAULT_QUANTUM):
 
 def fingerprint(s: MultiplierSpectrum, quantum: float = DEFAULT_QUANTUM) -> SpectrumFingerprint:
     """Stable 64-bit FNV-1a digest of the quantized spectrum."""
-    if not 0 < quantum < math.inf:
-        raise ValueError(f"quantum must be positive and finite, got {quantum}")
-    data = b"".join(struct.pack("<qqq", *_quantize_entry(e, quantum))
-                    for level in s.levels for e in level)
+    data = b"".join(struct.pack("<qqq", *cell) for level in _quantized(s, quantum)
+                    for cell in level)
     return SpectrumFingerprint(_fnv64(data), quantum)
 
 

@@ -1,8 +1,11 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from multispec import (
     BudgetExceeded,
+    DegenerateMap,
     DegenerateParameters,
     LattesParams,
     MilnorPoint,
@@ -27,6 +30,8 @@ from multispec import (
 from multispec.families import random_curve_point
 from multispec.parser import format_map
 from multispec.points import ProjectivePoint, as_point
+
+families_module = importlib.import_module("multispec.families")
 
 
 class TestMilnor:
@@ -153,6 +158,30 @@ class TestPowerAndRandom:
         a = random_map(3, 1234)
         b = random_map(3, 1234)
         assert np.array_equal(a.p, b.p) and np.array_equal(a.q, b.q)
+
+    @staticmethod
+    def _first_candidate_raises(monkeypatch, error):
+        real = families_module.make_map
+        calls = []
+
+        def make_map(num, den):
+            calls.append(num)
+            if len(calls) == 1:
+                raise error
+            return real(num, den)
+
+        monkeypatch.setattr(families_module, "make_map", make_map)
+        return calls
+
+    def test_random_map_retries_a_rejected_candidate(self, monkeypatch):
+        calls = self._first_candidate_raises(monkeypatch, DegenerateMap("rejected"))
+        assert random_map(2, 5).degree == 2 and len(calls) >= 2
+
+    def test_random_map_does_not_swallow_a_bug(self, monkeypatch):
+        # only a MultispecError rejects a candidate; anything else propagates
+        self._first_candidate_raises(monkeypatch, TypeError("a bug"))
+        with pytest.raises(TypeError, match="a bug"):
+            random_map(2, 5)
 
     def test_random_maps_valid(self):
         for seed in range(100):

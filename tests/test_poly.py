@@ -131,6 +131,30 @@ class TestConjugate:
         with pytest.raises(DegenerateTransform):
             MobiusTransform(1, 2, 2, 4)
 
+    @pytest.mark.parametrize("d, digest", [
+        (2, "81e85da1c078a3ebb377e51e592a247283f360435e7e11afc437455fcd3c0364"),
+        (3, "3765cbb2753232d1142786caaf39f0175f9b3c142aacb2fd0901cd324e1d01bc"),
+        (4, "91e206036510d7b77c5ec471fbc5025e2cd0defaefac11d6b321089663a72ce6"),
+    ])
+    def test_conjugate_bits_are_pinned(self, d, digest):
+        # sha256 of the p, q and log_resultant bytes of five conjugates
+        h = hashlib.sha256()
+        for seed in range(5):
+            g = conjugate(random_map(d, seed), random_mobius(1000 + seed))
+            h.update(g.p.tobytes() + g.q.tobytes() + repr(g.log_resultant).encode())
+        assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("x, y", [
+    (1.0, float("nan")), (float("nan"), 1.0),
+    (1.0, complex(0.0, float("nan"))), (complex(float("nan"), 0.0), 1.0),
+    (1.0, float("inf")), (float("inf"), 1.0),
+])
+def test_projective_point_needs_finite_coordinates(x, y):
+    # a nan second coordinate once passed, since max(1.0, nan) is 1.0
+    with pytest.raises(ValueError):
+        ProjectivePoint(x, y)
+
 
 class TestDerivative:
     def test_square_at_one(self):

@@ -416,6 +416,18 @@ class TestCompare:
             with pytest.raises(NonFiniteSpectrum):
                 compare_spectra(a, b)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-8])
+    def test_tol_is_checked(self, tol):
+        # an unchecked inf called these two equal, and nan called them different
+        a = spectrum(power_map(2), 1)
+        b = spectrum(rational_map_from_text("z^2+1"), 1)
+        with pytest.raises(ValueError):
+            compare_spectra(a, b, tol)
+
+    def test_zero_tol_is_exact_equality(self):
+        s = spectrum(power_map(2), 1)
+        assert compare_spectra(s, s, 0.0) == (True, 0.0)
+
 
 class TestLengthSpectrum:
     def test_square(self):
@@ -481,6 +493,26 @@ class TestFingerprint:
         for quantum in (0.0, float("inf"), float("nan")):
             with pytest.raises(ValueError):
                 fingerprint(s, quantum=quantum)
+
+    @pytest.mark.parametrize("quantum", [0.0, -1.0, float("inf"), float("nan")])
+    def test_quantized_levels_checks_its_quantum(self, quantum):
+        # unchecked, 0 divided by zero, inf gave nan cells, -1 a negative grid
+        s = spectrum(power_map(2), 1)
+        with pytest.raises(ValueError):
+            quantized_levels(s, quantum)
+        with pytest.raises(ValueError):
+            fingerprint(s, quantum)
+
+    @pytest.mark.parametrize("text, max_period, quantum, digest", [
+        ("z^2-1", 2, 1e-6, "c77b9ee192ef0098856af6fd71adab36e6cb8318f07f68ec8d1017af09c7ebaf"),
+        ("z^4+1", 3, 1e-6, "0fb856f065d4089ff444f10486e07f148000a8658add8d3292584fad4aca826d"),
+        ("z^4+1", 3, 1e-3, "d9e34389366be42792eaf474655a6a67c42eca0279185ebda7a53ad7e5ef9449"),
+    ])
+    def test_quantized_levels_are_pinned(self, text, max_period, quantum, digest):
+        # the catalog stores these values; sha256 of their repr
+        s = spectrum(rational_map_from_text(text), max_period)
+        got = hashlib.sha256(repr(quantized_levels(s, quantum)).encode()).hexdigest()
+        assert got == digest
 
     @pytest.mark.parametrize("text, max_period, digest", [
         ("z^2-1", 2, "9e0103ecfc2fa174"),
