@@ -114,6 +114,62 @@ def _encode(entry: CatalogEntry) -> str:
                       separators=(",", ":"))
 
 
+# A record exactly as `_encode` writes it. Its strings are printable ASCII
+# without a quote or backslash, so each JSON value is the raw text; its
+# integers have no sign or leading zero; its quantum has a fraction or an
+# exponent, so float() reads it as json.loads does (an integer literal such
+# as -0 would read as 0.0 through int). Any line it fits, `_decode` accepts
+# with the same fields; any other line is left to `_decode`.
+_TEXT_CHARS = r"[ !#-\[\]-~]*"
+_TEXT = f'"{_TEXT_CHARS}"'
+_NATURAL = "0|[1-9][0-9]*"
+
+
+def _list_of(item: str) -> str:
+    return rf"\[(?:{item}(?:,{item})*)?\]"
+
+
+_FIELD_LAYOUT = {
+    "id": _TEXT,
+    "map_text": f'"(?P<map_text>{_TEXT_CHARS})"',
+    "degree": f"(?P<degree>{_NATURAL})",
+    "max_period": f"(?P<max_period>{_NATURAL})",
+    "quantum": rf"(?P<quantum>-?(?:{_NATURAL})(?:\.[0-9]+(?:e[-+]?[0-9]+)?|e[-+]?[0-9]+))",
+    "digest": '"(?P<digest>[0-9a-f]{16})"',
+    "levels": _list_of(_list_of(rf"\[{_TEXT},{_TEXT}\]")),
+    "tags": _list_of(_TEXT),
+    "created_at": _TEXT,
+}
+_CANONICAL = re.compile(
+    r"\{" + ",".join(f'"{name}":{_FIELD_LAYOUT[name]}' for name in FIELD_ORDER) + r"\}")
+
+
+def _is_str_list(value) -> bool:
+    return type(value) is list and all(type(item) is str for item in value)
+
+
+def _is_levels(value) -> bool:
+    return type(value) is list and all(
+        type(level) is list and all(_is_str_list(pair) and len(pair) == 2 for pair in level)
+        for level in value)
+
+
+# what json.loads must have produced for each field; the conversions in
+# `_decode` would otherwise coerce 2.7 or true to a degree, "xy" to two tags
+_FIELD_TYPES = {
+    # an all-digit id may be written as a bare integer
+    "id": ("a string or an integer", lambda v: type(v) in (str, int)),
+    "map_text": ("a string", lambda v: type(v) is str),
+    "degree": ("an integer", lambda v: type(v) is int),
+    "max_period": ("an integer", lambda v: type(v) is int),
+    "quantum": ("a number", lambda v: type(v) in (int, float)),
+    "digest": ("a string", lambda v: type(v) is str),
+    "levels": ("a list of lists of [re, im] string pairs", _is_levels),
+    "tags": ("a list of strings", _is_str_list),
+    "created_at": ("a string", lambda v: type(v) is str),
+}
+
+
 def _decode(raw: bytes, line_number: int) -> CatalogEntry:
     try:
         line = raw.decode("utf-8")
@@ -142,7 +198,10 @@ def _decode(raw: bytes, line_number: int) -> CatalogEntry:
             tags=tuple(str(t) for t in obj["tags"]),
             created_at=str(obj["created_at"]),
         )
-    except (TypeError, ValueError, KeyError) as exc:
+        for name, (kind, is_kind) in _FIELD_TYPES.items():
+            if not is_kind(obj[name]):
+                raise TypeError(f"{name} is not {kind}")
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise CorruptEntry(line_number, f"bad field: {exc}") from None
     if not _DIGEST.fullmatch(entry.digest):
         raise CorruptEntry(line_number, "digest is not 16 hex characters")
@@ -162,17 +221,52 @@ def _numbered_lines(data: bytes):
     return enumerate(lines[1:], start=2)
 
 
-def _parse_store(data: bytes) -> tuple[list[CatalogEntry], list[tuple[int, str]]]:
-    entries: list[CatalogEntry] = []
+def _match_canonical(raw: bytes) -> tuple[tuple, str] | None:
+    """(key, map_text) of a line in the `_CANONICAL` layout, else None.
+
+    key is (degree, max_period, quantum, digest), as `_decode` would give.
+    """
+    try:
+        match = _CANONICAL.fullmatch(raw.decode("utf-8"))
+    except UnicodeDecodeError:
+        return None
+    if match is None:
+        return None
+    degree, max_period, quantum, digest, map_text = match.group(
+        "degree", "max_period", "quantum", "digest", "map_text")
+    return (int(degree), int(max_period), float(quantum), digest), map_text
+
+
+def _read_store(data: bytes) -> tuple[list[tuple], list[tuple[int, str]]]:
+    """Key every record line, decoding in full only the lines off `_CANONICAL`.
+
+    Returns the records and the skipped (line number, reason) pairs. A
+    record is (key, map_text, line number, line), key as in
+    `_match_canonical`; `line` is the raw bytes of a canonical line, for
+    `_entry` to decode if a caller keeps it, or the decoded entry of any
+    other line.
+    """
+    records: list[tuple] = []
     skipped: list[tuple[int, str]] = []
-    for i, line in _numbered_lines(data):
-        if not line:
+    for i, raw in _numbered_lines(data):
+        if not raw:
+            continue
+        canonical = _match_canonical(raw)
+        if canonical:
+            records.append((*canonical, i, raw))
             continue
         try:
-            entries.append(_decode(line, i))
+            e = _decode(raw, i)
         except CorruptEntry as exc:
             skipped.append((exc.line_number, exc.reason))
-    return entries, skipped
+            continue
+        records.append(((e.degree, e.max_period, e.quantum, e.digest), e.map_text, i, e))
+    return records, skipped
+
+
+def _entry(record: tuple) -> CatalogEntry:
+    _, _, line_number, line = record
+    return line if isinstance(line, CatalogEntry) else _decode(line, line_number)
 
 
 def catalog_add(store_path, entry: CatalogEntry) -> str:
@@ -221,32 +315,20 @@ def catalog_add(store_path, entry: CatalogEntry) -> str:
 def catalog_query(store_path, fp: SpectrumFingerprint,
                   degree: int, max_period: int) -> QueryResult:
     """All entries matching digest, quantum, degree, and max_period."""
-    entries, skipped = _parse_store(Path(store_path).read_bytes())
-    hits = tuple(
-        e for e in entries
-        if e.digest == fp.hex_digest
-        and e.quantum == fp.quantum
-        and e.degree == degree
-        and e.max_period == max_period
-    )
+    records, skipped = _read_store(Path(store_path).read_bytes())
+    key = (degree, max_period, fp.quantum, fp.hex_digest)
+    hits = tuple(_entry(r) for r in records if r[0] == key)
     return QueryResult(hits, tuple(skipped))
 
 
 def catalog_scan_collisions(store_path) -> ScanResult:
     """Groups of >= 2 distinct maps sharing a fingerprint key."""
-    entries, skipped = _parse_store(Path(store_path).read_bytes())
-    groups: dict[tuple, list[CatalogEntry]] = {}
-    for e in entries:
-        key = (e.degree, e.max_period, repr(e.quantum), e.digest)
-        groups.setdefault(key, []).append(e)
-    out = []
-    for members in groups.values():
-        distinct: list[CatalogEntry] = []
-        seen_texts = set()
-        for e in members:
-            if e.map_text not in seen_texts:
-                seen_texts.add(e.map_text)
-                distinct.append(e)
-        if len(distinct) >= 2:
-            out.append(tuple(distinct))
-    return ScanResult(tuple(out), tuple(skipped))
+    records, skipped = _read_store(Path(store_path).read_bytes())
+    # key -> map_text -> the first record with that text
+    groups: dict[tuple, dict[str, tuple]] = {}
+    for r in records:
+        degree, max_period, quantum, digest = r[0]
+        groups.setdefault((degree, max_period, repr(quantum), digest), {}).setdefault(r[1], r)
+    out = tuple(tuple(_entry(r) for r in members.values())
+                for members in groups.values() if len(members) >= 2)
+    return ScanResult(out, tuple(skipped))

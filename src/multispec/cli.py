@@ -11,6 +11,7 @@ seeds produce byte-identical records.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -320,6 +321,8 @@ def _report_skipped(skipped, records: bool):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# built once per process: parse_args leaves the parser as it was
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="multispec",

@@ -16,7 +16,18 @@ from multispec import (
     rational_map_from_text,
     spectrum,
 )
-from multispec.catalog import HEADER, _encode, entry_id, make_entry
+from multispec.catalog import (
+    HEADER,
+    CatalogEntry,
+    QueryResult,
+    ScanResult,
+    _decode,
+    _encode,
+    _numbered_lines,
+    _read_store,
+    entry_id,
+    make_entry,
+)
 from multispec.parser import format_map
 
 STAMP = "2026-08-08T00:00:00+00:00"
@@ -265,6 +276,42 @@ def _dumps(obj):
                  "digest is not 16 hex characters", id="digest-uppercase"),
     pytest.param(lambda obj: _dumps({**obj, "digest": "0123456789abcdeg"}),
                  "digest is not 16 hex characters", id="digest-g"),
+    # values that the conversions would coerce
+    pytest.param(lambda obj: _dumps({**obj, "degree": 2.7}),
+                 "bad field: degree is not an integer", id="degree-float"),
+    pytest.param(lambda obj: _dumps({**obj, "degree": True}),
+                 "bad field: degree is not an integer", id="degree-true"),
+    pytest.param(lambda obj: _dumps({**obj, "degree": "2"}),
+                 "bad field: degree is not an integer", id="degree-string"),
+    pytest.param(lambda obj: _dumps({**obj, "max_period": 2.0}),
+                 "bad field: max_period is not an integer", id="max-period-float"),
+    pytest.param(lambda obj: _dumps({**obj, "quantum": "1e-6"}),
+                 "bad field: quantum is not a number", id="quantum-string"),
+    pytest.param(lambda obj: _dumps({**obj, "quantum": True}),
+                 "bad field: quantum is not a number", id="quantum-true"),
+    pytest.param(lambda obj: _dumps({**obj, "quantum": 10**400}),
+                 "bad field: int too large to convert to float", id="quantum-int-overflow"),
+    pytest.param(lambda obj: _dumps({**obj, "id": None}),
+                 "bad field: id is not a string or an integer", id="id-null"),
+    pytest.param(lambda obj: _dumps({**obj, "map_text": 5}),
+                 "bad field: map_text is not a string", id="map-text-int"),
+    pytest.param(lambda obj: _dumps({**obj, "digest": 5}),
+                 "bad field: digest is not a string", id="digest-int"),
+    pytest.param(lambda obj: _dumps({**obj, "created_at": 5}),
+                 "bad field: created_at is not a string", id="created-at-int"),
+    pytest.param(lambda obj: _dumps({**obj, "tags": "xy"}),
+                 "bad field: tags is not a list of strings", id="tags-string"),
+    pytest.param(lambda obj: _dumps({**obj, "tags": [1]}),
+                 "bad field: tags is not a list of strings", id="tags-of-int"),
+    pytest.param(lambda obj: _dumps({**obj, "levels": [["ab"]]}),
+                 "bad field: levels is not a list of lists of [re, im] string pairs",
+                 id="level-pair-string"),
+    pytest.param(lambda obj: _dumps({**obj, "levels": [[[None, None]]]}),
+                 "bad field: levels is not a list of lists of [re, im] string pairs",
+                 id="level-pair-nulls"),
+    pytest.param(lambda obj: _dumps({**obj, "levels": [[{"1": 0, "0": 0}]]}),
+                 "bad field: levels is not a list of lists of [re, im] string pairs",
+                 id="level-pair-object"),
 ])
 def test_query_reports_each_corrupt_line(store, doctor, reason):
     entry = entry_for_map("z^2", 2, created_at=STAMP)
@@ -274,3 +321,121 @@ def test_query_reports_each_corrupt_line(store, doctor, reason):
     result = catalog_query(store, fp_of("z^2", 2), 2, 2)
     assert [e.map_text for e in result] == ["z^2"]
     assert result.skipped == ((3, reason),)
+
+
+# -- query and scan against the full-decode reader they replaced ------------
+
+def _reference_read(store):
+    """Every record line decoded in full, as the catalog read before `_read_store`."""
+    entries, skipped = [], []
+    for i, line in _numbered_lines(store.read_bytes()):
+        if not line:
+            continue
+        try:
+            entries.append(_decode(line, i))
+        except CorruptEntry as exc:
+            skipped.append((exc.line_number, exc.reason))
+    return entries, tuple(skipped)
+
+
+def _reference_query(store, fp, degree, max_period):
+    entries, skipped = _reference_read(store)
+    hits = tuple(
+        e for e in entries
+        if e.digest == fp.hex_digest
+        and e.quantum == fp.quantum
+        and e.degree == degree
+        and e.max_period == max_period
+    )
+    return QueryResult(hits, skipped)
+
+
+def _reference_scan(store):
+    entries, skipped = _reference_read(store)
+    groups = {}
+    for e in entries:
+        groups.setdefault((e.degree, e.max_period, repr(e.quantum), e.digest), []).append(e)
+    out = []
+    for members in groups.values():
+        distinct, seen_texts = [], set()
+        for e in members:
+            if e.map_text not in seen_texts:
+                seen_texts.add(e.map_text)
+                distinct.append(e)
+        if len(distinct) >= 2:
+            out.append(tuple(distinct))
+    return ScanResult(tuple(out), skipped)
+
+
+def _mixed_store_lines():
+    """(line bytes, line ending) pairs: canonical and non-canonical, valid and not."""
+    quartic = entry_for_map("z^4+1", 3, created_at=STAMP)
+    flipped = entry_for_map("(z^2+1)^2", 3, created_at=STAMP)
+    square = entry_for_map("z^2", 2, created_at=STAMP)
+    letter = next(c for c in flipped.id if c in "abcdef")
+    escape = f"\\u{ord(letter):04x}"
+    escaped_id = _encode(flipped).replace(
+        f'"id":"{flipped.id}"', f'"id":"{flipped.id.replace(letter, escape, 1)}"')
+    bare_id = _encode(replace(square, id="1234567890123456", map_text="z^2 bare")).replace(
+        '"id":"1234567890123456"', '"id":1234567890123456')
+
+    def with_quantum(literal, text):
+        return _encode(replace(square, map_text=text)).replace(
+            '"quantum":1e-06', f'"quantum":{literal}')
+
+    lines = [
+        (_encode(quartic), "\n"),
+        (json.dumps(json.loads(_encode(square))), "\r"),  # valid, with spaces
+        (escaped_id, "\r\n"),
+        ("", "\n"),
+        (bare_id, "\n"),
+        # 1 and 1.0 are one quantum; -0 reads as 0.0 through int, unlike -0.0
+        (with_quantum("1", "q int"), "\n"),
+        (with_quantum("1.0", "q float"), "\n"),
+        (with_quantum("-0", "q int zero"), "\r"),
+        (with_quantum("-0.0", "q negative zero"), "\n"),
+        (with_quantum("0.0", "q zero"), "\n"),
+        (with_quantum("1E400", "q upper exponent"), "\n"),
+        (with_quantum("1e400", "q lower exponent"), "\n"),
+        ('{"id": "dead", "tags": ["\u7206'.encode()[:-1], "\n"),  # torn inside a character
+        ("{broken", "\n"),
+        (_encode(quartic).replace('"degree":4', '"degree":"4"'), "\n"),
+        (_encode(replace(quartic, map_text="z^4+1 \u2603")), "\n"),  # escaped by _encode
+        (_encode(quartic), "\n"),  # a re-add
+        (_encode(replace(quartic, tags=("again",))), "\r\n"),  # same text, other tags
+        (_encode(flipped), "\n"),
+        (_encode(replace(square, map_text="z^2 twin")), "\n"),
+    ]
+    return [(raw if isinstance(raw, bytes) else raw.encode(), ending.encode())
+            for raw, ending in lines]
+
+
+def test_query_and_scan_match_the_full_decode_reader(store):
+    lines = _mixed_store_lines()
+    store.write_bytes(HEADER.encode() + b"\r\n" + b"".join(raw + end for raw, end in lines))
+    records, skipped = _read_store(store.read_bytes())
+    # both readings are exercised: lines keyed by layout alone and lines decoded in full
+    assert {type(r[3]) for r in records} == {bytes, CatalogEntry}
+    assert skipped == [
+        (14, "not valid UTF-8: unexpected end of data"),
+        (15, "not valid JSON: Expecting property name enclosed in double quotes"),
+        (16, "bad field: degree is not an integer"),
+    ]
+
+    scan = catalog_scan_collisions(store)
+    assert repr(scan) == repr(_reference_scan(store))
+    assert [[e.map_text for e in g] for g in scan.groups] == [
+        ["z^4+1", "z^4+2*z^2+1", "z^4+1 \u2603"],
+        ["z^2", "z^2 bare", "z^2 twin"],
+        ["q int", "q float"],
+        ["q int zero", "q zero"],
+        ["q upper exponent", "q lower exponent"],
+    ]
+
+    entries, _ = _reference_read(store)
+    keys = {(e.degree, e.max_period, e.quantum, e.digest) for e in entries}
+    keys.add((4, 3, 1e-6, "0" * 16))  # held by no line
+    for degree, max_period, quantum, digest in sorted(keys, key=repr):
+        fp = SpectrumFingerprint(int(digest, 16), quantum)
+        result = catalog_query(store, fp, degree, max_period)
+        assert repr(result) == repr(_reference_query(store, fp, degree, max_period))

@@ -7,6 +7,7 @@ import pytest
 
 from multispec import format_map, random_map
 from multispec.cli import build_parser, main
+from multispec.spectrum import DEFAULT_QUANTUM
 
 # the package attribute `multispec.spectrum` is the function, not the module
 spectrum_module = importlib.import_module("multispec.spectrum")
@@ -238,6 +239,17 @@ class TestCatalogCommand:
         code, _, err = run(capsys, *add, "--tags", "power")
         assert code == 2 and "already stored" in err
         assert store.read_bytes() == before
+
+    def test_parser_is_built_once_and_keeps_no_options(self, capsys, tmp_path):
+        assert build_parser() is build_parser()
+        store = tmp_path / "s.cat"
+        add = ["catalog", "add", "--store", str(store), "--max-period", "2",
+               "--created-at", STAMP, "--map"]
+        assert run(capsys, *add, "z^2", "--tags", "a", "b", "--quantum", "1e-3")[0] == 0
+        assert run(capsys, *add, "z^3")[0] == 0
+        first, second = (json.loads(line) for line in store.read_text().splitlines()[1:])
+        assert (first["tags"], first["quantum"]) == (["a", "b"], 1e-3)
+        assert (second["tags"], second["quantum"]) == ([], DEFAULT_QUANTUM)
 
     def test_missing_store_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "catalog", "scan", "--store", str(tmp_path / "none.cat"))
