@@ -34,7 +34,9 @@ from .errors import (
     NoConvergence,
     NonFiniteSpectrum,
     NotRealizable,
+    NumericFailure,
     ParabolicPresent,
+    PrecisionExhausted,
     ShapeMismatch,
     SingularCurve,
     SingularReduction,

@@ -116,13 +116,14 @@ def _encode(entry: CatalogEntry) -> str:
 
 # A record exactly as `_encode` writes it. Its strings are printable ASCII
 # without a quote or backslash, so each JSON value is the raw text; its
-# integers have no sign or leading zero; its quantum has a fraction or an
-# exponent, so float() reads it as json.loads does (an integer literal such
-# as -0 would read as 0.0 through int). Any line it fits, `_decode` accepts
-# with the same fields; any other line is left to `_decode`.
+# integers have no sign or leading zero, and at most 18 digits, so int()
+# never meets its digit limit; its quantum has a fraction or an exponent,
+# so float() reads it as json.loads does (an integer literal such as -0
+# would read as 0.0 through int). Any line it fits, `_decode` accepts with
+# the same fields; any other line is left to `_decode`.
 _TEXT_CHARS = r"[ !#-\[\]-~]*"
 _TEXT = f'"{_TEXT_CHARS}"'
-_NATURAL = "0|[1-9][0-9]*"
+_NATURAL = "0|[1-9][0-9]{0,17}"
 
 
 def _list_of(item: str) -> str:
@@ -179,6 +180,8 @@ def _decode(raw: bytes, line_number: int) -> CatalogEntry:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise CorruptEntry(line_number, f"not valid JSON: {exc.msg}") from None
+    except ValueError as exc:  # an integer past int()'s digit limit
+        raise CorruptEntry(line_number, f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise CorruptEntry(line_number, "record is not an object")
     if list(obj.keys()) != FIELD_ORDER:

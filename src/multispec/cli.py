@@ -2,10 +2,10 @@
 
 Exit codes are a stable contract: 0 success (and "equal" for compare),
 1 compare found a difference, 2 usage, validation or file trouble, 3
-numeric failure. Machine output (--format records) is line-delimited: the first
-token names the record type, the rest are key=value pairs in a fixed
-order, floats with 17 significant digits. Runs with the same inputs and
-seeds produce byte-identical records.
+numeric failure (any `errors.NumericFailure`). Machine output (--format
+records) is line-delimited: the first token names the record type, the
+rest are key=value pairs in a fixed order, floats with 17 significant
+digits. Runs with the same inputs and seeds produce byte-identical records.
 """
 
 from __future__ import annotations
@@ -32,33 +32,12 @@ from .spectrum import (
     spectrum,
     spectrum_level,
 )
-from .errors import (
-    BudgetExceeded,
-    DegenerateParameters,
-    InconsistentZeroCounts,
-    MultispecError,
-    NoConvergence,
-    NonFiniteSpectrum,
-    NotRealizable,
-    ParabolicPresent,
-    SingularReduction,
-    SpectraDiffer,
-)
+from .errors import DegenerateParameters, MultispecError, NotRealizable, NumericFailure
 from .parser import format_map, parse_complex
 from .poly import rational_map_from_text
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
-
-_NUMERIC_ERRORS = (
-    NoConvergence,
-    NonFiniteSpectrum,
-    BudgetExceeded,
-    SingularReduction,
-    ParabolicPresent,
-    InconsistentZeroCounts,
-    SpectraDiffer,
-)
 
 
 def _validate(args):
@@ -84,9 +63,16 @@ def _fmt_complex(z: complex) -> str:
     return f"{_fmt_real(re)}{sign}{_fmt_real(abs(im))}i"
 
 
-def _emit_record(kind: str, fields: list[tuple[str, str]]):
-    body = " ".join(f"{k}={v}" for k, v in fields)
-    print(f"{kind} {body}")
+def _out(args, kind: str | None, fields, table_line: str, file=None):
+    """Print one output line: its record under --format records, else its table line.
+
+    A None kind marks a table-only line; `file` redirects the table line.
+    """
+    if args.format == "records":
+        if kind is not None:
+            print(kind + " " + " ".join(f"{k}={v}" for k, v in fields))
+    else:
+        print(table_line, file=file)
 
 
 # ---------------------------------------------------------------------------
@@ -98,25 +84,17 @@ def cmd_spectrum(args) -> int:
     # one level pass serves both records
     data = periodic_point_levels(f, args.max_period)
     s = _multiplier_spectrum(f.degree, data)
-    lengths = _length_spectrum(f.degree, data) if args.length else None
-    if args.format == "records":
-        _emit_record("map", [("text", format_map(f)), ("degree", str(f.degree))])
-        for n, level in enumerate(s.levels, start=1):
-            values = ",".join(_fmt_complex(e) for e in level)
-            _emit_record("spectrum", [("level", str(n)), ("count", str(len(level))),
-                                      ("values", values)])
-        if lengths is not None:
-            for n, level in enumerate(lengths.levels, start=1):
-                values = ",".join(_fmt_real(e) for e in level)
-                _emit_record("length", [("level", str(n)), ("count", str(len(level))),
-                                        ("values", values)])
-    else:
-        print(f"map {format_map(f)} (degree {f.degree})")
-        for n, level in enumerate(s.levels, start=1):
-            print(f"  level {n}: " + ", ".join(_fmt_short(e) for e in level))
-        if lengths is not None:
-            for n, level in enumerate(lengths.levels, start=1):
-                print(f"  length {n}: " + ", ".join(f"{v:.10g}" for v in level))
+    lengths = _length_spectrum(f.degree, data).levels if args.length else ()
+    _out(args, "map", [("text", format_map(f)), ("degree", str(f.degree))],
+         f"map {format_map(f)} (degree {f.degree})")
+    for n, level in enumerate(s.levels, start=1):
+        _out(args, "spectrum", [("level", str(n)), ("count", str(len(level))),
+                                ("values", ",".join(_fmt_complex(e) for e in level))],
+             f"  level {n}: " + ", ".join(_fmt_short(e) for e in level))
+    for n, level in enumerate(lengths, start=1):
+        _out(args, "length", [("level", str(n)), ("count", str(len(level))),
+                              ("values", ",".join(_fmt_real(e) for e in level))],
+             f"  length {n}: " + ", ".join(f"{v:.10g}" for v in level))
     return 0
 
 
@@ -137,16 +115,12 @@ def cmd_compare(args) -> int:
     sf = spectrum(f, args.max_period)
     sg = spectrum(g, args.max_period)
     equal, dist = compare_spectra(sf, sg, args.tol)
-    if args.format == "records":
-        _emit_record("compare", [
-            ("map1", format_map(f)), ("map2", format_map(g)),
-            ("max_period", str(args.max_period)), ("tol", _fmt_real(args.tol)),
-            ("equal", "true" if equal else "false"), ("distance", _fmt_real(dist)),
-        ])
-    else:
-        verdict = "EQUAL" if equal else "DIFFERENT"
-        print(f"{verdict} (distance {dist:.3e}, tol {args.tol:.1e}, "
-              f"max_period {args.max_period})")
+    _out(args, "compare", [
+        ("map1", format_map(f)), ("map2", format_map(g)),
+        ("max_period", str(args.max_period)), ("tol", _fmt_real(args.tol)),
+        ("equal", "true" if equal else "false"), ("distance", _fmt_real(dist)),
+    ], f"{'EQUAL' if equal else 'DIFFERENT'} (distance {dist:.3e}, tol {args.tol:.1e}, "
+       f"max_period {args.max_period})")
     return 0 if equal else 1
 
 
@@ -168,36 +142,26 @@ def cmd_generate(args) -> int:
 def cmd_classify(args) -> int:
     f = rational_map_from_text(args.map)
     result = pcf.classify_disjoint_type(f, args.max_period)
-    if args.format == "records":
-        periods = ""
-        if result.disjoint_type is not None:
-            periods = ",".join(str(p) for p in result.disjoint_type.periods)
-        _emit_record("classification", [
-            ("map", format_map(f)), ("status", result.status.value),
-            ("periods", periods),
-        ])
-    else:
-        print(f"map {format_map(f)}: {result.status.value}")
-        if result.disjoint_type is not None:
-            print(f"  superattracting cycle periods: {list(result.disjoint_type.periods)}")
-        for ev in result.evidence:
-            cyc = f"period {ev.cycle.exact_period}" if ev.cycle else "none"
-            print(f"  critical point {ev.critical_point}: {ev.fate.value} (cycle {cyc})")
+    found = result.disjoint_type
+    _out(args, "classification", [
+        ("map", format_map(f)), ("status", result.status.value),
+        ("periods", ",".join(str(p) for p in found.periods) if found is not None else ""),
+    ], f"map {format_map(f)}: {result.status.value}")
+    if found is not None:
+        _out(args, None, (), f"  superattracting cycle periods: {list(found.periods)}")
+    for ev in result.evidence:
+        cyc = f"period {ev.cycle.exact_period}" if ev.cycle else "none"
+        _out(args, None, (), f"  critical point {ev.critical_point}: {ev.fate.value} (cycle {cyc})")
     if args.from_spectrum:
         s = spectrum(f, args.max_period)
         recovered = disjoint_type_from_spectrum(s)
-        agrees = (result.status is pcf.Classification.DISJOINT_TYPE
-                  and result.disjoint_type == recovered) or \
-                 (result.status is not pcf.Classification.DISJOINT_TYPE)
-        if args.format == "records":
-            _emit_record("from_spectrum", [
-                ("periods", ",".join(str(p) for p in recovered.periods)),
-                ("complete", "true" if recovered.complete else "false"),
-                ("agrees", "true" if agrees else "false"),
-            ])
-        else:
-            print(f"  from spectrum: periods {list(recovered.periods)} "
-                  f"complete={recovered.complete} agrees={agrees}")
+        agrees = result.status is not pcf.Classification.DISJOINT_TYPE or found == recovered
+        _out(args, "from_spectrum", [
+            ("periods", ",".join(str(p) for p in recovered.periods)),
+            ("complete", "true" if recovered.complete else "false"),
+            ("agrees", "true" if agrees else "false"),
+        ], f"  from spectrum: periods {list(recovered.periods)} "
+           f"complete={recovered.complete} agrees={agrees}")
     return 0
 
 
@@ -230,22 +194,16 @@ def cmd_fiber_scan(args) -> int:
             except (DegenerateParameters, NotRealizable):
                 degenerate += 1
                 status, err_text = "degenerate", ""
-            if args.format == "records":
-                _emit_record("cell", [
-                    ("row", str(i)), ("col", str(j)),
-                    ("s1", _fmt_real(s1)), ("s2", _fmt_real(s2)),
-                    ("status", status), ("roundtrip_err", err_text),
-                ])
-            else:
-                print(f"cell ({i},{j}) s1={s1:.6g} s2={s2:.6g} {status} {err_text}")
+            _out(args, "cell", [
+                ("row", str(i)), ("col", str(j)),
+                ("s1", _fmt_real(s1)), ("s2", _fmt_real(s2)),
+                ("status", status), ("roundtrip_err", err_text),
+            ], f"cell ({i},{j}) s1={s1:.6g} s2={s2:.6g} {status} {err_text}")
     summary = [
         ("cells", str(n * n)), ("realizable", str(realizable)),
         ("degenerate", str(degenerate)), ("worst_roundtrip_err", _fmt_real(worst)),
     ]
-    if args.format == "records":
-        _emit_record("summary", summary)
-    else:
-        print("summary " + " ".join(f"{k}={v}" for k, v in summary))
+    _out(args, "summary", summary, "summary " + " ".join(f"{k}={v}" for k, v in summary))
     return 0
 
 
@@ -259,62 +217,45 @@ def cmd_catalog_add(args) -> int:
         tags=args.tags or (), created_at=args.created_at,
     )
     entry_id = cat.catalog_add(args.store, entry)
-    if args.format == "records":
-        _emit_record("added", [("id", entry_id), ("map", entry.map_text),
-                               ("digest", entry.digest)])
-    else:
-        print(f"added {entry_id} ({entry.map_text}, digest {entry.digest})")
+    _out(args, "added", [("id", entry_id), ("map", entry.map_text), ("digest", entry.digest)],
+         f"added {entry_id} ({entry.map_text}, digest {entry.digest})")
     return 0
 
 
 def cmd_catalog_query(args) -> int:
-    records = args.format == "records"
     f = rational_map_from_text(args.map)
     fp = fingerprint(spectrum(f, args.max_period), args.quantum)
     result = cat.catalog_query(args.store, fp, f.degree, args.max_period)
-    _report_skipped(result.skipped, records)
-    if records:
-        for e in result.entries:
-            _emit_record("hit", [("id", e.id), ("map", e.map_text),
-                                 ("degree", str(e.degree)),
-                                 ("max_period", str(e.max_period)),
-                                 ("digest", e.digest)])
-        _emit_record("query", [("digest", fp.hex_digest),
-                               ("hits", str(len(result.entries)))])
-    else:
-        for e in result.entries:
-            print(f"hit {e.id} {e.map_text}")
-        print(f"{len(result.entries)} hit(s) for digest {fp.hex_digest}")
+    _report_skipped(args, result.skipped)
+    for e in result.entries:
+        _out(args, "hit", [("id", e.id), ("map", e.map_text), ("degree", str(e.degree)),
+                           ("max_period", str(e.max_period)), ("digest", e.digest)],
+             f"hit {e.id} {e.map_text}")
+    _out(args, "query", [("digest", fp.hex_digest), ("hits", str(len(result.entries)))],
+         f"{len(result.entries)} hit(s) for digest {fp.hex_digest}")
     return 0
 
 
 def cmd_catalog_scan(args) -> int:
-    records = args.format == "records"
     result = cat.catalog_scan_collisions(args.store)
-    _report_skipped(result.skipped, records)
-    if records:
-        for gi, group in enumerate(result.groups):
-            for e in group:
-                _emit_record("collision", [("group", str(gi)), ("id", e.id),
-                                           ("map", e.map_text),
-                                           ("digest", e.digest)])
-        _emit_record("scan", [("groups", str(len(result.groups)))])
-    else:
-        for gi, group in enumerate(result.groups):
-            print(f"group {gi} (digest {group[0].digest}):")
-            for e in group:
-                print(f"  {e.id} {e.map_text}")
-        print(f"{len(result.groups)} collision group(s)")
+    _report_skipped(args, result.skipped)
+    for gi, group in enumerate(result.groups):
+        _out(args, None, (), f"group {gi} (digest {group[0].digest}):")
+        for e in group:
+            _out(args, "collision", [("group", str(gi)), ("id", e.id),
+                                     ("map", e.map_text), ("digest", e.digest)],
+                 f"  {e.id} {e.map_text}")
+    _out(args, "scan", [("groups", str(len(result.groups)))],
+         f"{len(result.groups)} collision group(s)")
     return 0
 
 
-def _report_skipped(skipped, records: bool):
+def _report_skipped(args, skipped):
+    # a record on stdout, but a warning on stderr beside the table
     for line_no, reason in skipped:
-        if records:
-            _emit_record("skipped", [("line", str(line_no)),
-                                     ("reason", json.dumps(reason, ensure_ascii=False))])
-        else:
-            print(f"warning: skipped corrupt line {line_no}: {reason}", file=sys.stderr)
+        _out(args, "skipped", [("line", str(line_no)),
+                               ("reason", json.dumps(reason, ensure_ascii=False))],
+             f"warning: skipped corrupt line {line_no}: {reason}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +363,7 @@ def main(argv=None) -> int:
     try:
         _validate(args)
         return args.func(args)
-    except _NUMERIC_ERRORS as exc:
+    except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
     except (MultispecError, ValueError, OSError) as exc:

@@ -2,12 +2,18 @@
 
 Every failure mode that callers are expected to branch on gets its own
 class; plain ValueError/OSError are reserved for misuse of the API and
-for filesystem trouble respectively.
+for filesystem trouble respectively. The subclasses of NumericFailure
+are the computations that could not deliver a trustworthy number; the
+CLI exits 3 on them and 2 on every other error.
 """
 
 
 class MultispecError(Exception):
     """Base class for all library-specific errors."""
+
+
+class NumericFailure(MultispecError):
+    """The computation could not deliver a trustworthy number."""
 
 
 class MapSyntaxError(MultispecError):
@@ -30,6 +36,10 @@ class DegenerateMap(MultispecError):
     """Numerator and denominator share a root at working precision."""
 
 
+class PrecisionExhausted(NumericFailure, DegenerateMap):
+    """Composition left the double exponent range or cancelled past double precision."""
+
+
 class DegreeTooLow(MultispecError):
     """Effective degree after reduction is below 2."""
 
@@ -38,11 +48,11 @@ class DegenerateTransform(MultispecError):
     """Mobius transform with numerically vanishing determinant."""
 
 
-class BudgetExceeded(MultispecError):
+class BudgetExceeded(NumericFailure):
     """An iteration or root-count cap was hit."""
 
 
-class NoConvergence(MultispecError):
+class NoConvergence(NumericFailure):
     """Root finder ran out of iterations. Carries the worst residual."""
 
     def __init__(self, message: str, worst_residual: float):
@@ -54,11 +64,11 @@ class IndeterminateDerivative(MultispecError):
     """Both chart evaluations of a derivative are 0/0."""
 
 
-class SingularReduction(MultispecError):
+class SingularReduction(NumericFailure):
     """Derivative denominator is not invertible modulo the fixed-point polynomial."""
 
 
-class ParabolicPresent(MultispecError):
+class ParabolicPresent(NumericFailure):
     """A multiplier too close to 1 invalidates the index identity."""
 
 
@@ -66,7 +76,7 @@ class ShapeMismatch(MultispecError):
     """Spectra with different degree or period range cannot be compared."""
 
 
-class InconsistentZeroCounts(MultispecError):
+class InconsistentZeroCounts(NumericFailure):
     """Zero-multiplier counts admit no nonnegative integer cycle solution."""
 
     def __init__(self, level: int, remainder: int):
@@ -77,11 +87,11 @@ class InconsistentZeroCounts(MultispecError):
         self.remainder = remainder
 
 
-class NonFiniteSpectrum(MultispecError):
+class NonFiniteSpectrum(NumericFailure):
     """A spectrum entry is inf or nan, so it cannot be quantized or compared."""
 
 
-class SpectraDiffer(MultispecError):
+class SpectraDiffer(NumericFailure):
     """Precondition failure: the two spectra are not equal at tolerance."""
 
     def __init__(self, distance: float):

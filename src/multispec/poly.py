@@ -36,7 +36,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import parser
-from .errors import BudgetExceeded, DegenerateMap, DegenerateTransform, DegreeTooLow, IndeterminateDerivative
+from .errors import (BudgetExceeded, DegenerateMap, DegenerateTransform, DegreeTooLow,
+                     IndeterminateDerivative, PrecisionExhausted)
 from .points import ProjectivePoint, as_point
 from .rootfind import _chart_horner, _form_partials, binary_form_roots, roots
 
@@ -160,8 +161,9 @@ def _finalize(p: np.ndarray, q: np.ndarray, degree: int,
     else:
         expected = predicted_log_res - 2.0 * degree * math.log(scale)
         if not math.isfinite(measured):
-            raise DegenerateMap(
-                "composition produced an exactly singular form pair"
+            raise PrecisionExhausted(
+                "composition produced an exactly singular form pair: "
+                "its coefficients left the double exponent range"
             )
         # Res is an exponentially ill-conditioned functional of the
         # coefficients: eps-level coefficient rounding legitimately moves
@@ -171,9 +173,9 @@ def _finalize(p: np.ndarray, q: np.ndarray, degree: int,
         # root-stage residual gates.
         if abs(expected) <= RESULTANT_LAW_RANGE and \
                 abs(measured - expected) > RESULTANT_LAW_SLACK:
-            raise DegenerateMap(
+            raise PrecisionExhausted(
                 "numeric cancellation in composition: log-resultant "
-                f"{measured:.3f} vs predicted {expected:.3f}"
+                f"{measured:.3f} vs predicted {expected:.3f}: double precision exhausted"
             )
     p.flags.writeable = False
     q.flags.writeable = False

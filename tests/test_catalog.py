@@ -259,6 +259,11 @@ def _dumps(obj):
 
 
 # the JSON and unpacking messages are worded as Python 3.11 words them
+HUGE_INT_REASON = ("not valid JSON: Exceeds the limit (4300 digits) for integer string "
+                   "conversion: value has 5000 digits; use sys.set_int_max_str_digits() "
+                   "to increase the limit")
+
+
 @pytest.mark.parametrize("doctor, reason", [
     pytest.param(lambda obj: "{not json",
                  "not valid JSON: Expecting property name enclosed in double quotes",
@@ -312,6 +317,11 @@ def _dumps(obj):
     pytest.param(lambda obj: _dumps({**obj, "levels": [[{"1": 0, "0": 0}]]}),
                  "bad field: levels is not a list of lists of [re, im] string pairs",
                  id="level-pair-object"),
+    # integers past int()'s 4300-digit limit
+    pytest.param(lambda obj: _dumps(obj).replace('"degree":2', '"degree":' + "9" * 5000),
+                 HUGE_INT_REASON, id="degree-huge"),
+    pytest.param(lambda obj: _dumps(obj).replace('"max_period":2', '"max_period":' + "9" * 5000),
+                 HUGE_INT_REASON, id="max-period-huge"),
 ])
 def test_query_reports_each_corrupt_line(store, doctor, reason):
     entry = entry_for_map("z^2", 2, created_at=STAMP)
@@ -321,6 +331,18 @@ def test_query_reports_each_corrupt_line(store, doctor, reason):
     result = catalog_query(store, fp_of("z^2", 2), 2, 2)
     assert [e.map_text for e in result] == ["z^2"]
     assert result.skipped == ((3, reason),)
+
+
+@pytest.mark.parametrize("field, stored", [("degree", 4), ("max_period", 3)])
+def test_scan_skips_a_line_holding_a_huge_integer(store, field, stored):
+    for text in ("z^4+1", "(z^2+1)^2"):
+        catalog_add(store, entry_for_map(text, 3, created_at=STAMP))
+    line = store.read_text().splitlines()[1]
+    with open(store, "a", encoding="utf-8") as fh:
+        fh.write(line.replace(f'"{field}":{stored},', f'"{field}":{"9" * 5000},') + "\n")
+    result = catalog_scan_collisions(store)
+    assert [len(group) for group in result.groups] == [2]
+    assert result.skipped == ((4, HUGE_INT_REASON),)
 
 
 # -- query and scan against the full-decode reader they replaced ------------

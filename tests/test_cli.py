@@ -1,11 +1,13 @@
 import importlib
+import inspect
 import json
+import math
 import shlex
 from pathlib import Path
 
 import pytest
 
-from multispec import format_map, random_map
+from multispec import cli, errors, format_map, poly, random_map
 from multispec.cli import build_parser, main
 from multispec.spectrum import DEFAULT_QUANTUM
 
@@ -68,6 +70,22 @@ class TestSpectrumCommand:
     def test_budget_exit_3(self, capsys):
         code, _, err = run(capsys, "spectrum", "z^2", "--max-period", "12")
         assert code == 3 and "numeric failure" in err
+
+    @pytest.mark.parametrize("measured", [-math.inf, poly.RESULTANT_LAW_RANGE],
+                             ids=["singular", "law-broken"])
+    def test_composition_past_double_precision_exit_3(self, capsys, monkeypatch, measured):
+        compose = spectrum_module.compose
+
+        def failing(f, g):
+            # the maps are built; only this composition measures the bad resultant
+            with monkeypatch.context() as patch:
+                patch.setattr(poly, "_log_resultant", lambda p, q, degree: measured)
+                return compose(f, g)
+
+        monkeypatch.setattr(spectrum_module, "compose", failing)
+        code, out, err = run(capsys, "spectrum", "z^2+1", "--max-period", "2")
+        assert code == 3 and out == ""
+        assert err.startswith("numeric failure: ") and "composition" in err
 
 
 class TestCompareCommand:
@@ -304,6 +322,39 @@ class TestOptionValidation:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+ERROR_CLASSES = [obj for obj in vars(errors).values()
+                 if isinstance(obj, type) and issubclass(obj, errors.MultispecError)]
+
+
+def _instance(cls):
+    """An instance of an error class, made from its __init__'s annotations."""
+    if cls.__init__ is Exception.__init__:
+        return cls("boom")
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]  # after self
+    return cls(*(param.annotation(1) for param in params))  # "1", 1 or 1.0
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_exit_code_follows_the_error_class(self, capsys, monkeypatch, cls):
+        def failing(text):
+            raise _instance(cls)
+
+        monkeypatch.setattr(cli, "rational_map_from_text", failing)
+        code, out, err = run(capsys, "spectrum", "z^2")
+        numeric = issubclass(cls, errors.NumericFailure)
+        assert code == (3 if numeric else 2) and out == ""
+        assert err.startswith("numeric failure: " if numeric else "error: ")
+
+    def test_numeric_failures(self):
+        assert {cls.__name__ for cls in ERROR_CLASSES
+                if issubclass(cls, errors.NumericFailure)} == {
+            "NumericFailure", "NoConvergence", "NonFiniteSpectrum", "BudgetExceeded",
+            "SingularReduction", "ParabolicPresent", "InconsistentZeroCounts",
+            "SpectraDiffer", "PrecisionExhausted",
+        }
 
 
 def test_readme_command_lines_parse():

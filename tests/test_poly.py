@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from multispec import (
     DegreeTooLow,
     LattesParams,
     MobiusTransform,
+    NumericFailure,
+    PrecisionExhausted,
     ProjectivePoint,
     compose,
     conjugate,
@@ -26,6 +29,7 @@ from multispec import (
     rational_map_from_text,
     sylvester_resultant,
 )
+from multispec import poly
 from multispec.poly import _OrbitDifferentials
 
 
@@ -88,6 +92,19 @@ class TestCompose:
             direct = f.evaluate(g.evaluate(x))
             assert h.evaluate(x).chordal(direct) < 1e-10
         assert h.degree == 4
+
+    @pytest.mark.parametrize("measured, message", [
+        (-math.inf, "exactly singular form pair"),
+        (poly.RESULTANT_LAW_RANGE, "numeric cancellation in composition"),
+    ], ids=["singular", "law-broken"])
+    def test_past_double_precision_is_typed(self, monkeypatch, measured, message):
+        f = rational_map_from_text("z^2+1")
+        # only the composition measures the bad resultant; the law predicts about -5.5
+        monkeypatch.setattr(poly, "_log_resultant", lambda p, q, degree: measured)
+        with pytest.raises(PrecisionExhausted, match=message) as exc:
+            compose(f, f)
+        # existing handlers of either base still catch it
+        assert isinstance(exc.value, DegenerateMap) and isinstance(exc.value, NumericFailure)
 
 
 class TestIterate:
