@@ -28,6 +28,8 @@ from .spectrum import (
 )
 
 HEADER = "#multispec-catalog v1"
+_HEADER_LINE = (HEADER + "\n").encode()
+_BODY = len(_HEADER_LINE)  # where the first record line starts
 _DIGEST = re.compile("[0-9a-f]{16}")
 
 
@@ -141,8 +143,9 @@ _FIELD_LAYOUT = {
     "tags": _list_of(_TEXT),
     "created_at": _TEXT,
 }
-_CANONICAL = re.compile(
-    r"\{" + ",".join(f'"{name}":{_FIELD_LAYOUT[name]}' for name in FIELD_ORDER) + r"\}")
+# anchored per line, so `finditer` over a store visits its canonical lines
+_CANONICAL = re.compile((r"(?m)^\{" + ",".join(
+    f'"{name}":{_FIELD_LAYOUT[name]}' for name in FIELD_ORDER) + r"\}$").encode())
 
 
 def _is_str_list(value) -> bool:
@@ -211,60 +214,84 @@ def _decode(raw: bytes, line_number: int) -> CatalogEntry:
     return entry
 
 
-def _numbered_lines(data: bytes):
-    """(line number, undecoded line) for each record line, after the header check.
-
-    Lines are split before they are decoded, so bytes torn mid-character
-    spoil only their own line. Newlines are read as text mode reads them:
-    \r\n and a lone \r end a line too.
-    """
-    lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
-    if lines[0] != HEADER.encode():
+def _store_buffer(data: bytes) -> bytes:
+    """The store, after the header check, with \r\n and a lone \r read as
+    newlines, as text mode reads them; copied only if it holds a \r."""
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not (data.startswith(_HEADER_LINE) or data == HEADER.encode()):
         raise CorruptEntry(1, f"missing header {HEADER!r}")
-    return enumerate(lines[1:], start=2)
+    return data
+
+
+def _numbered_lines(data: bytes):
+    """(line number, undecoded line) for each record line, after the header check."""
+    return enumerate(_store_buffer(data).split(b"\n")[1:], start=2)
+
+
+def _key(match: re.Match) -> tuple[tuple, str]:
+    """(degree, max_period, quantum, digest) and map_text, as `_decode` would give."""
+    degree, max_period, quantum, digest, map_text = match.group(
+        "degree", "max_period", "quantum", "digest", "map_text")
+    return (int(degree), int(max_period), float(quantum), digest.decode()), map_text.decode()
 
 
 def _match_canonical(raw: bytes) -> tuple[tuple, str] | None:
-    """(key, map_text) of a line in the `_CANONICAL` layout, else None.
+    """The `_key` of a line in the `_CANONICAL` layout, else None."""
+    match = _CANONICAL.fullmatch(raw)
+    return _key(match) if match else None
 
-    key is (degree, max_period, quantum, digest), as `_decode` would give.
+
+def _read_store(data: bytes, digest: bytes | None = None
+                ) -> tuple[list[tuple], list[tuple[int, str]]]:
+    """Key the record lines by one pass of `_CANONICAL` over the buffer.
+
+    The lines between matches are off the layout: each is decoded in full,
+    so every corrupt line is reported, a torn character spoiling only its
+    own line. Given a `digest`, only matches holding it are kept. Returns
+    the records, each (key, map_text, line number, line) with `line` a
+    canonical line's raw bytes, for `_entry` to decode, or any other line's
+    entry; and the skipped (line number, reason) pairs.
     """
-    try:
-        match = _CANONICAL.fullmatch(raw.decode("utf-8"))
-    except UnicodeDecodeError:
-        return None
-    if match is None:
-        return None
-    degree, max_period, quantum, digest, map_text = match.group(
-        "degree", "max_period", "quantum", "digest", "map_text")
-    return (int(degree), int(max_period), float(quantum), digest), map_text
-
-
-def _read_store(data: bytes) -> tuple[list[tuple], list[tuple[int, str]]]:
-    """Key every record line, decoding in full only the lines off `_CANONICAL`.
-
-    Returns the records and the skipped (line number, reason) pairs. A
-    record is (key, map_text, line number, line), key as in
-    `_match_canonical`; `line` is the raw bytes of a canonical line, for
-    `_entry` to decode if a caller keeps it, or the decoded entry of any
-    other line.
-    """
+    buf = _store_buffer(data)
     records: list[tuple] = []
     skipped: list[tuple[int, str]] = []
-    for i, raw in _numbered_lines(data):
-        if not raw:
-            continue
-        canonical = _match_canonical(raw)
-        if canonical:
-            records.append((*canonical, i, raw))
-            continue
-        try:
-            e = _decode(raw, i)
-        except CorruptEntry as exc:
-            skipped.append((exc.line_number, exc.reason))
-            continue
-        records.append(((e.degree, e.max_period, e.quantum, e.digest), e.map_text, i, e))
+
+    def decode_lines(start, end, first):
+        for i, raw in enumerate(buf[start:end].split(b"\n"), start=first):
+            if not raw:
+                continue
+            try:
+                e = _decode(raw, i)
+            except CorruptEntry as exc:
+                skipped.append((exc.line_number, exc.reason))
+                continue
+            records.append(((e.degree, e.max_period, e.quantum, e.digest), e.map_text, i, e))
+
+    # `start` and `i`: the offset and number of the first line not yet read
+    start, i = _BODY, 2
+    for match in _CANONICAL.finditer(buf, _BODY):
+        at = match.start()
+        if at != start:
+            decode_lines(start, at - 1, i)
+            i += buf.count(b"\n", start, at)
+        if digest is None or match["digest"] == digest:
+            records.append((*_key(match), i, match[0]))
+        start, i = match.end() + 1, i + 1
+    decode_lines(start, len(buf), i)
     return records, skipped
+
+
+def _lines_holding(buf: bytes, needles: tuple[bytes, ...]):
+    """Each record line of `buf` that holds one of `needles`, once, in store order."""
+    found = [buf.find(needle, _BODY) for needle in needles]
+    while max(found) >= 0:
+        at = min(f for f in found if f >= 0)
+        end = buf.find(b"\n", at)
+        end = len(buf) if end < 0 else end
+        yield buf[buf.rfind(b"\n", 0, at) + 1:end]
+        found = [f if f < 0 or f > end else buf.find(needle, end + 1)
+                 for f, needle in zip(found, needles)]
 
 
 def _entry(record: tuple) -> CatalogEntry:
@@ -280,9 +307,11 @@ def catalog_add(store_path, entry: CatalogEntry) -> str:
     append run under an exclusive advisory lock on the store, so
     concurrent writers cannot store one id twice; readers take no lock.
     A missing or empty store gets the header first, a torn final line its
-    newline. Returns the entry id; only lines that can hold it are decoded.
-    Raises DuplicateId when the id exists with a different payload (other
-    tags, say), and OSError for filesystem trouble.
+    newline. A line can store the id only by spelling it out (as a string,
+    or as a bare integer if all-digit) or through a JSON escape, so one
+    `find` for the id and one for a backslash pick the lines to decode.
+    Returns the entry id. Raises DuplicateId when the id exists with a
+    different payload (other tags, say), and OSError for filesystem trouble.
     """
     # imported here so that `import multispec` works where fcntl is
     # missing; only writers need the lock
@@ -293,17 +322,13 @@ def catalog_add(store_path, entry: CatalogEntry) -> str:
         fh.seek(0)
         data = fh.read()
         if not data:
-            data = (HEADER + "\n").encode()
+            data = _HEADER_LINE
             fh.write(data)
         encoded = _encode(entry)
-        key = entry.id.encode()
-        for i, line in _numbered_lines(data):
-            # only a line that spells the id out (as a string, or as a bare integer
-            # if all-digit) or holds a JSON escape, with its backslash, can match
-            if key not in line and b"\\" not in line:
-                continue
+        for line in _lines_holding(_store_buffer(data), (entry.id.encode(), b"\\")):
             try:
-                existing = _decode(line, i)
+                # the line number goes only into the CorruptEntry passed over here
+                existing = _decode(line, 0)
             except CorruptEntry:
                 continue
             if existing.id == entry.id:
@@ -318,7 +343,7 @@ def catalog_add(store_path, entry: CatalogEntry) -> str:
 def catalog_query(store_path, fp: SpectrumFingerprint,
                   degree: int, max_period: int) -> QueryResult:
     """All entries matching digest, quantum, degree, and max_period."""
-    records, skipped = _read_store(Path(store_path).read_bytes())
+    records, skipped = _read_store(Path(store_path).read_bytes(), fp.hex_digest.encode())
     key = (degree, max_period, fp.quantum, fp.hex_digest)
     hits = tuple(_entry(r) for r in records if r[0] == key)
     return QueryResult(hits, tuple(skipped))

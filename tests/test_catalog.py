@@ -1,7 +1,9 @@
+import functools
 import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from multispec import (
     CorruptEntry,
@@ -461,3 +463,113 @@ def test_query_and_scan_match_the_full_decode_reader(store):
         fp = SpectrumFingerprint(int(digest, 16), quantum)
         result = catalog_query(store, fp, degree, max_period)
         assert repr(result) == repr(_reference_query(store, fp, degree, max_period))
+
+
+# -- add, query and scan against full-decode references, on random stores ---
+
+@functools.cache
+def _mixed_pieces():
+    """The lines of `_mixed_store_lines`, and entries stored and not stored there."""
+    quartic = entry_for_map("z^4+1", 3, created_at=STAMP)
+    flipped = entry_for_map("(z^2+1)^2", 3, created_at=STAMP)
+    square = entry_for_map("z^2", 2, created_at=STAMP)
+    bare = replace(square, id="1234567890123456", map_text="z^2 bare")
+    entries = (quartic, flipped, bare, entry_for_map("z^3", 2, created_at=STAMP))
+    return tuple(raw for raw, _ in _mixed_store_lines()), entries
+
+
+def _reference_add(store, entry):
+    """`catalog_add` decoding every line, as it did before its search."""
+    data = store.read_bytes()
+    if not data:
+        data = (HEADER + "\n").encode()
+        store.write_bytes(data)
+    for i, line in _numbered_lines(data):
+        try:
+            existing = _decode(line, i)
+        except CorruptEntry:
+            continue
+        if existing.id == entry.id:
+            if _encode(replace(existing, created_at=entry.created_at)) == _encode(entry):
+                return entry.id
+            raise DuplicateId(f"id {entry.id} already stored with different payload")
+    with open(store, "ab") as fh:
+        fh.write((b"" if data.endswith((b"\n", b"\r")) else b"\n")
+                 + _encode(entry).encode() + b"\n")
+    return entry.id
+
+
+def _outcome(add, store, data, entry):
+    store.write_bytes(data)
+    try:
+        result = add(store, entry)
+    except (CorruptEntry, DuplicateId) as exc:
+        result = repr(exc)
+    return result, store.read_bytes()
+
+
+_ENDINGS = st.sampled_from([b"\n", b"\r\n", b"\r"])
+
+
+@st.composite
+def _stores(draw):
+    lines, entries = _mixed_pieces()
+    body = draw(st.lists(st.tuples(st.sampled_from((b"",) + lines), _ENDINGS), max_size=12))
+    data = HEADER.encode() + draw(_ENDINGS) + b"".join(raw + end for raw, end in body)
+    # a torn final line: a record cut short, or one whose newline never came
+    torn = draw(st.sampled_from([b"", lines[0][:40], lines[0], lines[2]]))
+    # new ids: a plain one, one that every line holds, and two that span a line end
+    new_id = draw(st.sampled_from(["fedcba9876543210", "", "\n", "}\n{"]))
+    return data + torn, draw(st.sampled_from(entries)), new_id
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_stores())
+def test_add_query_and_scan_match_the_full_decode_references(store, drawn):
+    data, stored, new_id = drawn
+    store.write_bytes(data)
+    assert repr(catalog_scan_collisions(store)) == repr(_reference_scan(store))
+
+    entries, _ = _reference_read(store)
+    keys = {(e.degree, e.max_period, e.quantum, e.digest) for e in entries}
+    keys.add((4, 3, 1e-6, "0" * 16))  # held by no line
+    for degree, max_period, quantum, digest in keys:
+        fp = SpectrumFingerprint(int(digest, 16), quantum)
+        assert (repr(catalog_query(store, fp, degree, max_period))
+                == repr(_reference_query(store, fp, degree, max_period)))
+
+    new = replace(stored, id=new_id, map_text="z^2 new")
+    for entry in (stored, replace(stored, tags=("other",)), new):
+        assert (_outcome(catalog_add, store, data, entry)
+                == _outcome(_reference_add, store, data, entry))
+
+
+def test_add_query_and_scan_decode_only_what_they_return(store, monkeypatch):
+    from multispec import catalog
+
+    square = entry_for_map("z^2", 2, created_at=STAMP)
+    # 2,000 canonical lines; every 500th shares the square's digest
+    lines = [_encode(replace(square, id=f"{k:016x}", map_text=f"z^2 {k}",
+                             digest=square.digest if k % 500 == 0 else f"{k:016x}"))
+             for k in range(1, 2001)]
+    store.write_text("\n".join([HEADER, *lines]) + "\n", encoding="utf-8")
+    decoded = []
+
+    def counting(raw, line_number):
+        decoded.append(line_number)
+        return _decode(raw, line_number)
+
+    monkeypatch.setattr(catalog, "_decode", counting)
+    assert catalog_add(store, square) == square.id  # a new id
+    assert decoded == []
+    assert catalog_add(store, square) == square.id  # a re-add
+    assert len(decoded) == 1
+    decoded.clear()
+    hits = catalog_query(store, SpectrumFingerprint(int(square.digest, 16), square.quantum), 2, 2)
+    assert [e.map_text for e in hits] == ["z^2 500", "z^2 1000", "z^2 1500", "z^2 2000", "z^2"]
+    assert decoded == [501, 1001, 1501, 2001, 2002]
+    decoded.clear()
+    groups = catalog_scan_collisions(store).groups
+    assert [len(group) for group in groups] == [5]
+    assert decoded == [501, 1001, 1501, 2001, 2002]

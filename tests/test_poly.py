@@ -52,6 +52,12 @@ class TestMakeMap:
         with pytest.raises(DegreeTooLow):
             make_map([0, 1, 1], [1, 1])  # (z^2+z)/(z+1) -> z
 
+    def test_common_root_radius_boundary(self):
+        # (z^2+z)/(z+1+eps): the roots -1 and -1-eps cancel only within 1e-9
+        assert make_map([0, 1, 1], [1 + 1e-7, 1]).degree == 2
+        with pytest.raises(DegreeTooLow):
+            make_map([0, 1, 1], [1 + 1e-11, 1])
+
     def test_newton_map_shape_resultant_nonzero(self):
         # oracle: the Sylvester determinant itself
         f = make_map([0, -1, 0, 1], [-1, 0, 3])
@@ -222,6 +228,13 @@ class TestCriticalData:
         assert cd.total_multiplicity == 6
         assert cd.distinct_value_count == 3
         assert not is_simple(f)
+
+    def test_distinct_values_cluster_within_1e_6(self):
+        # chordal distance 1e-4 keeps two values apart, 1e-8 merges them
+        assert poly._count_distinct([ProjectivePoint.from_affine(0j),
+                                     ProjectivePoint.from_affine(1e-4)]) == 2
+        assert poly._count_distinct([ProjectivePoint.from_affine(0j),
+                                     ProjectivePoint.from_affine(1e-8)]) == 1
 
     def test_power_maps_not_simple_above_two(self):
         assert is_simple(make_map([0, 0, 1], [1]))

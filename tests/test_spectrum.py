@@ -133,6 +133,19 @@ class TestPolishSafetyPaths:
         with pytest.raises(NoConvergence, match="failed functional verification"):
             periodic_points(random_map(2, 1), 3)
 
+    def test_functional_gate_refuses_a_residual_of_1e_5(self, monkeypatch):
+        # one point left at 1e-5, past the 1e-7 gate: a gate looser by 10^4 passes it
+        polish = spectrum_module._functional_aberth_polish
+
+        def one_loose_point(engine, n, approx, held):
+            z, res = polish(engine, n, approx, held)
+            res[0] = 1e-5
+            return z, res
+
+        monkeypatch.setattr(spectrum_module, "_functional_aberth_polish", one_loose_point)
+        with pytest.raises(NoConvergence, match="level 3 failed functional verification"):
+            periodic_points(random_map(2, 1), 3)
+
     def test_collided_points_refused(self, monkeypatch):
         polish = spectrum_module._functional_aberth_polish
 
@@ -372,6 +385,16 @@ class TestIndexSum:
         with pytest.raises(ParabolicPresent):
             fixed_point_index_sum(periodic_points(f, 1))
 
+    def test_parabolic_guard_boundary(self):
+        # the guard is 1e-6 wide: 1e-4 from 1 is summed, 1e-7 from 1 is refused
+        def level(multiplier):
+            point = spectrum_module.PeriodicPoint(ProjectivePoint.from_affine(0j), 1, multiplier)
+            return spectrum_module.PeriodicPointSet(1, (point,))
+
+        assert fixed_point_index_sum(level(1 + 1e-4)) == pytest.approx(-1e4)
+        with pytest.raises(ParabolicPresent):
+            fixed_point_index_sum(level(1 + 1e-7))
+
     def test_random_background(self):
         done = 0
         seed = 0
@@ -542,6 +565,11 @@ class TestDisjointTypeFromSpectrum:
         assert zero_multiplier_count([2, 0, 0]) == 2
         assert zero_multiplier_count([6, 9, 0, 0]) == 2
         assert zero_multiplier_count([1, 1, 1]) == 0
+
+    def test_zero_tail_tolerance_boundary(self):
+        # relative tolerance 1e-6: 1e-4 is a value, 1e-7 a vanishing one
+        assert zero_multiplier_count([1.0, 1e-4]) == 0
+        assert zero_multiplier_count([1.0, 1e-7]) == 1
 
     def test_inconsistent_counts_raise(self):
         bogus = MultiplierSpectrum(2, 2, ((1 + 0j, 1 + 0j, 0j), (1 + 0j,) * 5))
