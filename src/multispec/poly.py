@@ -62,7 +62,7 @@ def _as_coeff_array(value) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _pad(arr: np.ndarray, length: int) -> np.ndarray:
-    out = np.zeros(length, dtype=complex)
+    out = np.zeros(length, dtype=arr.dtype)
     out[: len(arr)] = arr
     return out
 
@@ -136,15 +136,15 @@ def _eval_form(c: np.ndarray, pt: ProjectivePoint) -> complex:
 
 def _finalize(p: np.ndarray, q: np.ndarray, degree: int,
               predicted_log_res: float | None = None) -> RationalMap:
-    """Pad, normalize, freeze, and run the degeneracy gate.
+    """Pad, normalize, freeze, and run the degeneracy gate, in the pair's dtype.
 
     With no prediction (construction from raw coefficients) the gate is
     the fixed threshold |Res| > EPS_DEGENERATE on the normalized pair.
     With a prediction (composition) the gate is agreement with the
     resultant composition law, which stays meaningful at any depth.
     """
-    p = _pad(np.asarray(p, dtype=complex), degree + 1)
-    q = _pad(np.asarray(q, dtype=complex), degree + 1)
+    p = _pad(np.asarray(p), degree + 1)
+    q = _pad(np.asarray(q), degree + 1)
     scale = max(float(np.max(np.abs(p))), float(np.max(np.abs(q))))
     if scale == 0.0:
         raise DegenerateMap("both forms vanish identically")
@@ -284,7 +284,7 @@ def substitute_forms(outer_p, outer_q, inner_p, inner_q):
 
 
 def compose(f: RationalMap, g: RationalMap) -> RationalMap:
-    """f after g; degree multiplies."""
+    """f after g; degree multiplies, and the forms keep the wider dtype of the two."""
     new_p, new_q = substitute_forms(f.p, f.q, g.p, g.q)
     # Res(F o G) = Res(F)**deg(G) * Res(G)**(deg F)**2
     predicted = g.degree * f.log_resultant + f.degree**2 * g.log_resultant

@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -41,7 +41,6 @@ from .poly import (
     _check_budget,
     compose,
     iterate,
-    substitute_forms,
 )
 from .rootfind import _trim_leading, binary_form_roots
 
@@ -413,24 +412,6 @@ def _mult_matrix(vector: np.ndarray, monic: np.ndarray) -> np.ndarray:
 _ORACLE_DTYPE = np.clongdouble if np.finfo(np.clongdouble).precision > 15 else np.complex128
 
 
-def _iterate_forms_extended(f: RationalMap, n: int):
-    """Forms of f^n computed in the widest complex dtype.
-
-    The oracle reads the iterate through its coefficients, where the
-    problem conditioning amplifies every rounding error; recomputing the
-    composition chain in extended precision keeps the oracle's own error
-    below the comparison tolerances.
-    """
-    base_p = f.p.astype(_ORACLE_DTYPE)
-    base_q = f.q.astype(_ORACLE_DTYPE)
-    p, q = base_p, base_q
-    for _ in range(n - 1):
-        new_p, new_q = substitute_forms(base_p, base_q, p, q)
-        scale = max(float(np.max(np.abs(new_p))), float(np.max(np.abs(new_q))))
-        p, q = new_p / scale, new_q / scale
-    return p, q
-
-
 def power_sums_oracle(f: RationalMap, n: int, kmax: int) -> list[complex]:
     """Power sums of the level-n multipliers, computed without root extraction.
 
@@ -446,21 +427,21 @@ def power_sums_oracle(f: RationalMap, n: int, kmax: int) -> list[complex]:
     total = f.degree**n + 1
     if total > ORACLE_MAX_POINTS:
         raise BudgetExceeded(f"oracle supports up to {ORACLE_MAX_POINTS} points, got {total}")
-    gp, gq = _iterate_forms_extended(f, n)
-    m = len(gp) - 1
+    # the oracle reads f^n through its coefficients, where conditioning
+    # amplifies every rounding error, so the chain runs on a copy of f in the
+    # widest dtype; its measured log-resultant lets compose check the law
+    g = iterate(replace(f, p=f.p.astype(_ORACLE_DTYPE), q=f.q.astype(_ORACLE_DTYPE)), n)
+    gp, gq = g.p, g.q
     affine = _trim_leading(_fixed_form(gp, gq))
     deg_affine = len(affine) - 1
-    deficit = (m + 1) - deg_affine
+    deficit = (g.degree + 1) - deg_affine
 
     sums = np.zeros(kmax, dtype=_ORACLE_DTYPE)
     if deficit > 0:
-        # the multiplier at infinity through the chart map w = 1/z
-        wp = gq[::-1]
-        wq = gp[::-1]
-        nv = wp[0]
-        dv = wq[0]
-        ndv = wp[1] if m >= 1 else 0.0
-        ddv = wq[1] if m >= 1 else 0.0
+        # the multiplier at infinity through the chart map w = 1/z, whose
+        # forms are (Q, P) reversed: value and slope at w = 0 sit on top
+        nv, ndv = gq[-1], gq[-2]
+        dv, ddv = gp[-1], gp[-2]
         if dv == 0:
             raise SingularReduction("chart derivative at infinity is 0/0")
         lam_inf = (ndv * dv - nv * ddv) / (dv * dv)
@@ -477,7 +458,7 @@ def power_sums_oracle(f: RationalMap, n: int, kmax: int) -> list[complex]:
         # polydiv keeps the extended dtype, and a shorter dividend is its own remainder
         ma = _mult_matrix(npoly.polydiv(num, monic)[1], monic)
         mb = _mult_matrix(npoly.polydiv(den, monic)[1], monic)
-        if _rcond_estimate(mb.astype(complex)) <= 1e-12:
+        if _rcond_estimate(mb) <= 1e-12:
             raise SingularReduction(
                 "derivative denominator not invertible modulo the fixed-point polynomial"
             )
@@ -513,6 +494,12 @@ def _solve_extended(b: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _rcond_estimate(mat: np.ndarray) -> float:
+    """1/cond of mat narrowed to complex128; 0 where that is singular or not
+    finite (a non-finite matrix never reaches LAPACK, which prints about it)."""
+    with np.errstate(over="ignore"):
+        mat = mat.astype(complex)
+    if not np.all(np.isfinite(mat)):
+        return 0.0
     try:
         cond = np.linalg.cond(mat)
     except np.linalg.LinAlgError:
@@ -597,12 +584,19 @@ def _quantize_entry(e: complex, quantum: float) -> tuple[int, int, int]:
         raise NonFiniteSpectrum(f"cannot quantize spectrum entry {e}")
     mag = abs(e)
     exp2 = int(round(math.log2(mag))) if mag > 1.0 else 0
-    step = quantum * 2.0**exp2
-    return (
-        int(math.floor(e.real / step + _GRID_PHASE)),
-        int(math.floor(e.imag / step + _GRID_PHASE)),
-        exp2,
-    )
+    try:
+        step = quantum * 2.0**exp2
+        return (
+            int(math.floor(e.real / step + _GRID_PHASE)),
+            int(math.floor(e.imag / step + _GRID_PHASE)),
+            exp2,
+        )
+    except OverflowError:
+        raise _no_cell(e, quantum) from None
+
+
+def _no_cell(e: complex, quantum: float) -> ValueError:
+    return ValueError(f"spectrum entry {e} has no grid cell at quantum {quantum!r}")
 
 
 def _quantized(s: MultiplierSpectrum, quantum: float) -> list[list[tuple[int, int, int]]]:
@@ -626,9 +620,14 @@ def quantized_levels(s: MultiplierSpectrum, quantum: float = DEFAULT_QUANTUM):
 
 def fingerprint(s: MultiplierSpectrum, quantum: float = DEFAULT_QUANTUM) -> SpectrumFingerprint:
     """Stable 64-bit FNV-1a digest of the quantized spectrum."""
-    data = b"".join(struct.pack("<qqq", *cell) for level in _quantized(s, quantum)
-                    for cell in level)
-    return SpectrumFingerprint(_fnv64(data), quantum)
+    packed = []
+    for level, cells in zip(s.levels, _quantized(s, quantum)):
+        for e, cell in zip(level, cells):
+            try:
+                packed.append(struct.pack("<qqq", *cell))
+            except struct.error:  # a cell index past int64
+                raise _no_cell(e, quantum) from None
+    return SpectrumFingerprint(_fnv64(b"".join(packed)), quantum)
 
 
 # ---------------------------------------------------------------------------

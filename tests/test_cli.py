@@ -288,6 +288,21 @@ class TestCatalogCommand:
         assert code == 3 and "numeric failure" in err
         assert not store.exists()
 
+    @pytest.mark.parametrize("command", ["add", "query"])
+    @pytest.mark.parametrize("quantum", ["1e-19", "1e-320"])
+    def test_quantum_too_fine_exit_2(self, capsys, tmp_path, command, quantum):
+        # 1e-19 puts a cell index past int64, 1e-320 makes entry / step inf
+        store = tmp_path / "s.cat"
+        run(capsys, "catalog", "add", "--store", str(store), "--map", "z^2",
+            "--max-period", "2", "--created-at", STAMP)
+        before = store.read_bytes()
+        code, out, err = run(capsys, "catalog", command, "--store", str(store),
+                             "--map", "z^2+1", "--max-period", "2", "--quantum", quantum)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and f"at quantum {quantum}" in err
+        assert "Traceback" not in err
+        assert store.read_bytes() == before
+
 
 class TestOptionValidation:
     @pytest.mark.parametrize("argv, message", [

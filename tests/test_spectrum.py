@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from multispec import (
     NoConvergence,
     NonFiniteSpectrum,
     ParabolicPresent,
+    PrecisionExhausted,
     ProjectivePoint,
     Root,
     RootSet,
     ShapeMismatch,
+    SingularReduction,
     compare_spectra,
     compose,
     conjugate,
@@ -31,6 +34,7 @@ from multispec import (
     newton_to_elementary,
     orbit_multiplier,
     periodic_points,
+    poly,
     power_map,
     power_sums_oracle,
     quantized_levels,
@@ -369,6 +373,35 @@ class TestOracle:
                     ref = mpmath.fsum(lam**k for lam in lams)
                     assert abs(mpmath.mpc(complex(got[k - 1])) - ref) <= 1e-9 * abs(ref)
 
+    def test_chain_is_checked_by_the_resultant_law(self, monkeypatch):
+        # f^n comes from compose, which measures each iterate's resultant
+        f = rational_map_from_text("z^2+1")
+        monkeypatch.setattr(poly, "_log_resultant", lambda p, q, degree: -math.inf)
+        with pytest.raises(PrecisionExhausted):
+            power_sums_oracle(f, 2, 3)
+
+    @pytest.mark.skipif(np.finfo(np.clongdouble).precision != 18,
+                        reason="reprs recorded in the 80-bit extended dtype")
+    def test_power_sums_are_pinned(self):
+        # sha256 of the reprs of the extended power sums; z^2+0.25 adds a
+        # fixed point at infinity
+        cases = [(random_map(2, 13001), 1), (random_map(2, 13001), 2),
+                 (random_map(3, 13001), 1), (rational_map_from_text("z^2+0.25"), 1)]
+        sums = [power_sums_oracle(f, n, 3) for f, n in cases]
+        got = hashlib.sha256(repr(sums).encode()).hexdigest()
+        assert got == "a0dd831e230db5acbef21c1b86b249ccd890671ac20ed24d33fb15b07fa90a81"
+
+    def test_reduction_past_double_range_is_singular_and_silent(self, capfd):
+        # entries of the extended reduction matrix past the double range
+        # used to turn inf in a narrowing cast (a RuntimeWarning) and reach
+        # LAPACK, which printed DLASCL complaints on stdout
+        f = random_map(2, 13058)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularReduction, match="not invertible modulo"):
+                power_sums_oracle(f, 7, 3)
+        assert capfd.readouterr() == ("", "")
+
 
 class TestIndexSum:
     def test_square(self):
@@ -546,6 +579,19 @@ class TestFingerprint:
         # digests are stored in v1 catalogs; a change here orphans every store
         s = spectrum(rational_map_from_text(text), max_period)
         assert fingerprint(s).hex_digest == digest
+
+    def test_quantum_too_fine_for_an_entry(self):
+        s = spectrum(rational_map_from_text("z^2+1"), 2)
+        assert fingerprint(s, 1e-18).digest == 9218259196401260504
+        # a cell index past int64 cannot be packed
+        with pytest.raises(ValueError, match=r"entry \(2\+0j\) has no grid cell at quantum 1e-19"):
+            fingerprint(s, 1e-19)
+        # the grid values themselves are unbounded Python ints, so they stand
+        got = hashlib.sha256(repr(quantized_levels(s, 1e-19)).encode()).hexdigest()
+        assert got == "5daa34acb8c211aaa4c78a64026fe1a95d438ca22421f5be5cbb244f23036a3d"
+        # here entry / step is inf
+        with pytest.raises(ValueError, match=r"entry \(2\+0j\) has no grid cell at quantum 1e-320"):
+            quantized_levels(s, 1e-320)
 
 
 class TestDisjointTypeFromSpectrum:
