@@ -131,19 +131,15 @@ def _critical_orbit_survey(f: RationalMap, max_period: int):
     crit = critical_data(f)
     crit_points = [c.location for c in crit.points]
 
-    found_cycles: list[list[ProjectivePoint]] = []
-    cycle_records: list[CycleRecord] = []
+    found: list[tuple[list[ProjectivePoint], CycleRecord]] = []
     evidence: list[OrbitEvidence] = []
 
     for c in crit_points:
         fate, cycle, steps = _analyze_orbit(f, c, max_period, budget)
         record = None
         if cycle is not None:
-            for idx, known in enumerate(found_cycles):
-                if _same_cycle(cycle, known):
-                    record = cycle_records[idx]
-                    break
-            else:
+            record = next((r for known, r in found if _same_cycle(cycle, known)), None)
+            if record is None:
                 period = len(cycle)
                 lam = orbit_multiplier(f, cycle[0], period)
                 contains = any(
@@ -151,10 +147,9 @@ def _critical_orbit_survey(f: RationalMap, max_period: int):
                     for cp in crit_points
                 )
                 record = CycleRecord(cycle[0], period, lam, contains)
-                found_cycles.append(cycle)
-                cycle_records.append(record)
+                found.append((cycle, record))
         evidence.append(OrbitEvidence(c, fate, record, steps))
-    return cycle_records, evidence
+    return [r for _, r in found], evidence
 
 
 def classify_disjoint_type(f: RationalMap, max_period: int = 4) -> ClassificationResult:
@@ -167,28 +162,15 @@ def classify_disjoint_type(f: RationalMap, max_period: int = 4) -> Classificatio
     """
     cycle_records, evidence = _critical_orbit_survey(f, max_period)
     need = 2 * f.degree - 2
-
-    all_landed = all(ev.fate is OrbitFate.LANDED for ev in evidence)
-    if not all_landed:
-        return ClassificationResult(
-            Classification.NOT_PCF_WITHIN_BUDGET, None,
-            tuple(cycle_records), tuple(evidence),
-        )
     supers = [r for r in cycle_records if r.is_superattracting]
-    landed_super = all(
-        ev.cycle is not None and ev.cycle.is_superattracting for ev in evidence
-    )
-    if landed_super and len(supers) == need and all(r.contains_critical for r in supers):
-        periods = tuple(sorted(r.exact_period for r in supers))
-        return ClassificationResult(
-            Classification.DISJOINT_TYPE,
-            DisjointType(periods, complete=True),
-            tuple(cycle_records), tuple(evidence),
-        )
-    return ClassificationResult(
-        Classification.PCF_NOT_DISJOINT, None,
-        tuple(cycle_records), tuple(evidence),
-    )
+    status, found = Classification.PCF_NOT_DISJOINT, None
+    if not all(ev.fate is OrbitFate.LANDED for ev in evidence):
+        status = Classification.NOT_PCF_WITHIN_BUDGET
+    elif (all(ev.cycle is not None and ev.cycle.is_superattracting for ev in evidence)
+          and len(supers) == need and all(r.contains_critical for r in supers)):
+        status = Classification.DISJOINT_TYPE
+        found = DisjointType(tuple(sorted(r.exact_period for r in supers)), complete=True)
+    return ClassificationResult(status, found, tuple(cycle_records), tuple(evidence))
 
 
 # ---------------------------------------------------------------------------

@@ -160,8 +160,6 @@ def _functional_aberth_polish(engine: _OrbitDifferentials, n: int, approx: list[
     """
     z = np.array(approx, dtype=complex)
     m = len(z)
-    if m == 0:
-        return z, np.zeros(0)
     # herding a fully garbage seed set takes a couple of sweeps per point
     max_iter = max(200, 2 * m)
     target = 1e-13
@@ -544,6 +542,25 @@ def fixed_point_index_sum(pps: PeriodicPointSet) -> complex:
     return total
 
 
+def _entry_scale(refusal: str, *entries: complex) -> float:
+    """The entry rule of every spectrum reader.
+
+    An inf or nan entry e raises NonFiniteSpectrum, with the reader's
+    `refusal` formatted from the entries and e. Otherwise the result is
+    an exact power-of-two scale under which the entries' moduli and
+    pairwise differences are finite: 0.25 once a component reaches
+    2**1022, else 1.0. Scaling is exact, so readers answer as the plain
+    formulas do wherever those are finite.
+    """
+    scale = 1.0
+    for e in entries:
+        if not cmath.isfinite(e):
+            raise NonFiniteSpectrum(refusal.format(*entries, entry=e))
+        if abs(e.real) >= 2.0**1022 or abs(e.imag) >= 2.0**1022:
+            scale = 0.25
+    return scale
+
+
 def compare_spectra(a: MultiplierSpectrum, b: MultiplierSpectrum,
                     tol: float = 1e-8) -> tuple[bool, float]:
     """Scaled sup-distance between spectra; equal iff distance <= tol.
@@ -558,9 +575,9 @@ def compare_spectra(a: MultiplierSpectrum, b: MultiplierSpectrum,
     dist = 0.0
     for la, lb in zip(a.levels, b.levels):
         for ea, eb in zip(la, lb):
-            if not (cmath.isfinite(ea) and cmath.isfinite(eb)):
-                raise NonFiniteSpectrum(f"cannot compare spectrum entries {ea} and {eb}")
-            dist = max(dist, abs(ea - eb) / max(1.0, abs(ea), abs(eb)))
+            s = _entry_scale("cannot compare spectrum entries {} and {}", ea, eb)
+            ea, eb = ea * s, eb * s
+            dist = max(dist, abs(ea - eb) / max(s, abs(ea), abs(eb)))
     return dist <= tol, dist
 
 
@@ -578,21 +595,20 @@ def _quantize_entry(e: complex, quantum: float) -> tuple[int, int, int]:
 
     The power-of-two magnitude scale keeps the grid identical for values
     that agree to much better than the quantum, while still preserving
-    magnitude information at relative resolution `quantum`.
+    magnitude information at relative resolution `quantum`. The exponent
+    stops at 1023, and there is no cell (ValueError) where the step, the
+    entry in steps or its grid value is not finite.
     """
-    if not cmath.isfinite(e):
-        raise NonFiniteSpectrum(f"cannot quantize spectrum entry {e}")
-    mag = abs(e)
-    exp2 = int(round(math.log2(mag))) if mag > 1.0 else 0
-    try:
-        step = quantum * 2.0**exp2
-        return (
-            int(math.floor(e.real / step + _GRID_PHASE)),
-            int(math.floor(e.imag / step + _GRID_PHASE)),
-            exp2,
-        )
-    except OverflowError:
-        raise _no_cell(e, quantum) from None
+    scale = _entry_scale("cannot quantize spectrum entry {}", e)
+    mag = abs(e * scale)
+    exp2 = min(1023, round(math.log2(mag) - math.log2(scale))) if mag > scale else 0
+    step = quantum * 2.0**exp2
+    x, y = e.real / step, e.imag / step
+    if math.isfinite(step) and math.isfinite(x) and math.isfinite(y):
+        qre, qim = math.floor(x + _GRID_PHASE), math.floor(y + _GRID_PHASE)
+        if math.isfinite(max(abs(qre), abs(qim)) * step):
+            return qre, qim, exp2
+    raise _no_cell(e, quantum)
 
 
 def _no_cell(e: complex, quantum: float) -> ValueError:
@@ -623,10 +639,9 @@ def fingerprint(s: MultiplierSpectrum, quantum: float = DEFAULT_QUANTUM) -> Spec
     packed = []
     for level, cells in zip(s.levels, _quantized(s, quantum)):
         for e, cell in zip(level, cells):
-            try:
-                packed.append(struct.pack("<qqq", *cell))
-            except struct.error:  # a cell index past int64
-                raise _no_cell(e, quantum) from None
+            if not all(-(2**63) <= c < 2**63 for c in cell):  # packed as int64
+                raise _no_cell(e, quantum)
+            packed.append(struct.pack("<qqq", *cell))
     return SpectrumFingerprint(_fnv64(b"".join(packed)), quantum)
 
 
@@ -639,17 +654,13 @@ def zero_multiplier_count(level) -> int:
 
     If exactly z multipliers vanish, the top z elementary symmetric
     values vanish and the next one does not, so z is the length of the
-    maximal vanishing tail.
+    maximal vanishing tail. An inf or nan entry raises NonFiniteSpectrum.
     """
     entries = [complex(e) for e in level]
-    scale = max(1.0, max(abs(e) for e in entries))
-    count = 0
-    for e in reversed(entries):
-        if abs(e) <= ZERO_TAIL_REL_TOL * scale:
-            count += 1
-        else:
-            break
-    return count
+    scale = _entry_scale("cannot count zero multipliers in a level holding {entry}", *entries)
+    moduli = [abs(e * scale) for e in entries]
+    tail = ZERO_TAIL_REL_TOL * max(scale, max(moduli))
+    return next((i for i, m in enumerate(reversed(moduli)) if m > tail), len(moduli))
 
 
 def disjoint_type_from_spectrum(s: MultiplierSpectrum) -> DisjointType:
@@ -658,8 +669,9 @@ def disjoint_type_from_spectrum(s: MultiplierSpectrum) -> DisjointType:
     A cycle of exact period p contributes p vanishing multipliers at
     every level it divides, so the level counts z_n satisfy
     z_n = sum over p | n of p * c_p; the cycle counts c_p are solved
-    greedily level by level. Raises InconsistentZeroCounts when some
-    level admits no nonnegative integer solution.
+    greedily level by level. Raises NonFiniteSpectrum when a level holds
+    an inf or nan entry, and InconsistentZeroCounts when some level
+    admits no nonnegative integer solution.
     """
     counts: dict[int, int] = {}
     for n, level in enumerate(s.levels, start=1):

@@ -304,6 +304,50 @@ class TestCatalogCommand:
         assert store.read_bytes() == before
 
 
+# level 8 of M12 holds a finite entry whose modulus is past the double
+# range, and level 7 of M6 one of modulus >= 2**1023.5; both levels also
+# hold inf entries, so the right answer is the numeric exit 3
+M12 = format_map(random_map(2, 12))
+M6 = format_map(random_map(2, 6))
+
+
+class TestEntryRule:
+    @pytest.mark.parametrize("argv, refusal", [
+        # compare's exit 1 would call a map different from itself
+        (["compare", M12, M12, "--max-period", "8"], "cannot compare spectrum entries"),
+        (["classify", M12, "--max-period", "8", "--from-spectrum"],
+         "cannot count zero multipliers"),
+        # zero counts read off the inf and nan entries left a remainder of -1
+        (["classify", "z^2", "--max-period", "8", "--from-spectrum"],
+         "cannot count zero multipliers"),
+    ], ids=["compare-M12", "classify-M12", "classify-z^2"])
+    def test_non_finite_level_exit_3(self, capsys, argv, refusal):
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and refusal in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, max_period", [(M12, 8), (M6, 7)], ids=["M12", "M6"])
+    def test_catalog_add_exit_3(self, capsys, tmp_path, text, max_period):
+        store = tmp_path / "s.cat"
+        code, _, err = run(capsys, "catalog", "add", "--store", str(store), "--map", text,
+                           "--max-period", str(max_period), "--created-at", STAMP)
+        assert code == 3 and "cannot quantize spectrum entry" in err
+        assert "Traceback" not in err
+        assert not store.exists()
+
+    def test_quantum_too_coarse_exit_2(self, capsys, tmp_path):
+        # the grid step overflows to inf; nan levels used to be stored
+        store = tmp_path / "s.cat"
+        run(capsys, "catalog", "add", "--store", str(store), "--map", "z^2",
+            "--max-period", "2", "--created-at", STAMP)
+        before = store.read_bytes()
+        code, out, err = run(capsys, "catalog", "add", "--store", str(store), "--map", "z^2-3",
+                             "--max-period", "4", "--quantum", "1e300")
+        assert code == 2 and out == ""
+        assert "has no grid cell at quantum 1e+300" in err and "Traceback" not in err
+        assert store.read_bytes() == before
+
+
 class TestOptionValidation:
     @pytest.mark.parametrize("argv, message", [
         (["spectrum", "z^2", "--max-period", "0"], "--max-period must be >= 1"),

@@ -623,6 +623,46 @@ class TestDisjointTypeFromSpectrum:
             disjoint_type_from_spectrum(bogus)
 
 
+# a finite entry of level 8 of random_map(2, 12) whose modulus is past the
+# double range: abs() of it overflowed in compare, fingerprint and zero counts
+_PAST_MODULUS = complex(1.2633728757753214e308, -1.5633873868906351e308)
+
+
+class TestEntryRule:
+    def test_compare_past_the_modulus_range(self):
+        s = MultiplierSpectrum(2, 1, ((_PAST_MODULUS, 1 + 0j, 0j),))
+        assert compare_spectra(s, s) == (True, 0.0)
+        # |e - (-e)| / |e| is 2, though neither |2e| nor |e| is a double
+        t = MultiplierSpectrum(2, 1, ((-_PAST_MODULUS, 1 + 0j, 0j),))
+        assert compare_spectra(s, t) == (False, 2.0)
+
+    def test_fingerprint_levels_and_count_past_the_modulus_range(self):
+        s = MultiplierSpectrum(2, 1, ((_PAST_MODULUS, 0j, 0j),))
+        assert fingerprint(s).digest == fingerprint(s).digest
+        levels = quantized_levels(s)
+        assert all(math.isfinite(v) for level in levels for pair in level for v in pair)
+        assert zero_multiplier_count((_PAST_MODULUS, 0j, 0j)) == 2
+
+    def test_largest_cell_exponent_is_1023(self):
+        # log2 of this modulus rounds to 1024, and 2.0**1024 is no double
+        assert spectrum_module._quantize_entry(1.7e308 + 0j, 1e-6)[2] == 1023
+
+    def test_quantum_too_coarse_for_an_entry(self):
+        # the step quantum * 2**exp2 is inf: no cell, where nan was stored
+        s = spectrum(rational_map_from_text("z^2-3"), 4)
+        for reader in (quantized_levels, fingerprint):
+            with pytest.raises(ValueError, match=r"has no grid cell at quantum 1e\+300"):
+                reader(s, 1e300)
+
+    def test_zero_counts_refuse_non_finite_levels(self):
+        # level 8 of z^2 holds 159 inf or nan entries; counting through them
+        # reported a remainder of -1
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = spectrum(power_map(2), 8)
+        with pytest.raises(NonFiniteSpectrum):
+            disjoint_type_from_spectrum(s)
+
+
 def test_spectrum_matches_levels():
     f = random_map(2, 3)
     s = spectrum(f, 2)
