@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .errors import CorruptEntry, DuplicateId
 from .parser import format_map
@@ -132,22 +133,6 @@ def _list_of(item: str) -> str:
     return rf"\[(?:{item}(?:,{item})*)?\]"
 
 
-_FIELD_LAYOUT = {
-    "id": _TEXT,
-    "map_text": f'"(?P<map_text>{_TEXT_CHARS})"',
-    "degree": f"(?P<degree>{_NATURAL})",
-    "max_period": f"(?P<max_period>{_NATURAL})",
-    "quantum": rf"(?P<quantum>-?(?:{_NATURAL})(?:\.[0-9]+(?:e[-+]?[0-9]+)?|e[-+]?[0-9]+))",
-    "digest": '"(?P<digest>[0-9a-f]{16})"',
-    "levels": _list_of(_list_of(rf"\[{_TEXT},{_TEXT}\]")),
-    "tags": _list_of(_TEXT),
-    "created_at": _TEXT,
-}
-# anchored per line, so `finditer` over a store visits its canonical lines
-_CANONICAL = re.compile((r"(?m)^\{" + ",".join(
-    f'"{name}":{_FIELD_LAYOUT[name]}' for name in FIELD_ORDER) + r"\}$").encode())
-
-
 def _is_str_list(value) -> bool:
     return type(value) is list and all(type(item) is str for item in value)
 
@@ -158,20 +143,47 @@ def _is_levels(value) -> bool:
         for level in value)
 
 
-# what json.loads must have produced for each field; the conversions in
-# `_decode` would otherwise coerce 2.7 or true to a degree, "xy" to two tags
-_FIELD_TYPES = {
+def _is(*types):
+    return lambda value: type(value) in types
+
+
+class _Field(NamedTuple):
+    """A record field: its text in a `_CANONICAL` line, the conversion
+    `_decode` applies to its JSON value, and the kind that value must be,
+    since the conversions alone coerce 2.7 or true to a degree, "xy" to
+    two tags."""
+
+    layout: str
+    convert: Callable
+    kind: str
+    is_kind: Callable
+
+
+_FIELDS = {
     # an all-digit id may be written as a bare integer
-    "id": ("a string or an integer", lambda v: type(v) in (str, int)),
-    "map_text": ("a string", lambda v: type(v) is str),
-    "degree": ("an integer", lambda v: type(v) is int),
-    "max_period": ("an integer", lambda v: type(v) is int),
-    "quantum": ("a number", lambda v: type(v) in (int, float)),
-    "digest": ("a string", lambda v: type(v) is str),
-    "levels": ("a list of lists of [re, im] string pairs", _is_levels),
-    "tags": ("a list of strings", _is_str_list),
-    "created_at": ("a string", lambda v: type(v) is str),
+    "id": _Field(_TEXT, str, "a string or an integer", _is(str, int)),
+    "map_text": _Field(f'"(?P<map_text>{_TEXT_CHARS})"', str, "a string", _is(str)),
+    "degree": _Field(f"(?P<degree>{_NATURAL})", int, "an integer", _is(int)),
+    "max_period": _Field(f"(?P<max_period>{_NATURAL})", int, "an integer", _is(int)),
+    "quantum": _Field(
+        rf"(?P<quantum>-?(?:{_NATURAL})(?:\.[0-9]+(?:e[-+]?[0-9]+)?|e[-+]?[0-9]+))",
+        float, "a number", _is(int, float)),
+    "digest": _Field('"(?P<digest>[0-9a-f]{16})"', str, "a string", _is(str)),
+    "levels": _Field(
+        _list_of(_list_of(rf"\[{_TEXT},{_TEXT}\]")),
+        lambda value: tuple(tuple((str(re), str(im)) for re, im in level) for level in value),
+        "a list of lists of [re, im] string pairs", _is_levels),
+    "tags": _Field(_list_of(_TEXT), lambda value: tuple(str(t) for t in value),
+                   "a list of strings", _is_str_list),
+    "created_at": _Field(_TEXT, str, "a string", _is(str)),
 }
+# `_decode` converts levels first, then the rest in field order, and checks
+# kinds only once all have converted: a line with several bad fields is
+# skipped for the first fault in that order
+_CONVERSION_ORDER = ["levels"] + [name for name in FIELD_ORDER if name != "levels"]
+# anchored per line, so `finditer` over a store visits its canonical lines
+_CANONICAL = re.compile((r"(?m)^\{" + ",".join(
+    f'"{name}":{_FIELDS[name].layout}' for name in FIELD_ORDER) + r"\}$").encode())
 
 
 def _decode(raw: bytes, line_number: int) -> CatalogEntry:
@@ -190,23 +202,11 @@ def _decode(raw: bytes, line_number: int) -> CatalogEntry:
     if list(obj.keys()) != FIELD_ORDER:
         raise CorruptEntry(line_number, "unknown or misordered fields")
     try:
-        levels = tuple([
-            tuple([(str(re), str(im)) for re, im in level]) for level in obj["levels"]
-        ])
-        entry = CatalogEntry(
-            id=str(obj["id"]),
-            map_text=str(obj["map_text"]),
-            degree=int(obj["degree"]),
-            max_period=int(obj["max_period"]),
-            quantum=float(obj["quantum"]),
-            digest=str(obj["digest"]),
-            levels=levels,
-            tags=tuple(str(t) for t in obj["tags"]),
-            created_at=str(obj["created_at"]),
-        )
-        for name, (kind, is_kind) in _FIELD_TYPES.items():
-            if not is_kind(obj[name]):
-                raise TypeError(f"{name} is not {kind}")
+        entry = CatalogEntry(**{name: _FIELDS[name].convert(obj[name])
+                                for name in _CONVERSION_ORDER})
+        for name in FIELD_ORDER:
+            if not _FIELDS[name].is_kind(obj[name]):
+                raise TypeError(f"{name} is not {_FIELDS[name].kind}")
     except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise CorruptEntry(line_number, f"bad field: {exc}") from None
     if not _DIGEST.fullmatch(entry.digest):

@@ -23,6 +23,7 @@ from . import families as fam
 from . import pcf
 from .spectrum import (
     DEFAULT_QUANTUM,
+    MultiplierSpectrum,
     _length_spectrum,
     _multiplier_spectrum,
     compare_spectra,
@@ -30,9 +31,14 @@ from .spectrum import (
     fingerprint,
     periodic_point_levels,
     spectrum,
-    spectrum_level,
 )
-from .errors import DegenerateParameters, MultispecError, NotRealizable, NumericFailure
+from .errors import (
+    DegenerateMap,
+    DegenerateParameters,
+    DegreeTooLow,
+    MultispecError,
+    NumericFailure,
+)
 from .parser import format_map, parse_complex
 from .poly import rational_map_from_text
 
@@ -49,7 +55,8 @@ def _validate(args):
     for name in ("tol", "quantum"):
         if not 0 < opts.get(name, 1.0) < math.inf:
             raise ValueError(f"--{name} must be positive")
-    if opts.get("grid", 1) < 1 or not 0 < opts.get("box", 1.0) < math.inf:
+    # the grid spans [-box, box], so its width 2*box must be finite too
+    if opts.get("grid", 1) < 1 or not 0 < 2 * opts.get("box", 1.0) < math.inf:
         raise ValueError("--grid must be >= 1 and --box positive")
 
 
@@ -170,38 +177,31 @@ def cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_fiber_scan(args) -> int:
-    n = args.grid
-    box = args.box
-    s1_values = np.linspace(-box, box, n)
-    s2_values = np.linspace(-box, box, n)
-    realizable = 0
-    degenerate = 0
-    worst = 0.0
-    for i, s1 in enumerate(s1_values):
-        for j, s2 in enumerate(s2_values):
+    """Invert level 1 over a grid of (sigma1, sigma2), with sigma3 = sigma1 - 2
+    so every cell is realizable; a cell is degenerate when its normal form
+    cannot be built at working precision."""
+    values = np.linspace(-args.box, args.box, args.grid)
+    errs = []  # the round-trip error of each realizable cell
+    for i, s1 in enumerate(values):
+        for j, s2 in enumerate(values):
             point = fam.MilnorPoint(complex(s1), complex(s2), complex(s1 - 2.0))
             try:
                 m = fam.invert_sigma(point)
-                level = spectrum_level(m, 1)
-                target = (point.sigma1, point.sigma2, point.sigma3)
-                err = max(
-                    abs(a - b) / max(1.0, abs(a), abs(b))
-                    for a, b in zip(level, target)
-                )
-                realizable += 1
-                worst = max(worst, err)
-                status, err_text = "ok", _fmt_real(err)
-            except (DegenerateParameters, NotRealizable):
-                degenerate += 1
+            except (DegenerateParameters, DegenerateMap, DegreeTooLow):
                 status, err_text = "degenerate", ""
+            else:
+                target = MultiplierSpectrum(2, 1, ((point.sigma1, point.sigma2, point.sigma3),))
+                errs.append(compare_spectra(spectrum(m, 1), target)[1])
+                status, err_text = "ok", _fmt_real(errs[-1])
             _out(args, "cell", [
                 ("row", str(i)), ("col", str(j)),
                 ("s1", _fmt_real(s1)), ("s2", _fmt_real(s2)),
                 ("status", status), ("roundtrip_err", err_text),
             ], f"cell ({i},{j}) s1={s1:.6g} s2={s2:.6g} {status} {err_text}")
     summary = [
-        ("cells", str(n * n)), ("realizable", str(realizable)),
-        ("degenerate", str(degenerate)), ("worst_roundtrip_err", _fmt_real(worst)),
+        ("cells", str(values.size**2)), ("realizable", str(len(errs))),
+        ("degenerate", str(values.size**2 - len(errs))),
+        ("worst_roundtrip_err", _fmt_real(max(errs, default=0.0))),
     ]
     _out(args, "summary", summary, "summary " + " ".join(f"{k}={v}" for k, v in summary))
     return 0

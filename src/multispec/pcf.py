@@ -14,12 +14,12 @@ only non-detection.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SpectraDiffer
+from .families import _disk_sample
 from .points import ProjectivePoint
 from .poly import (
     RationalMap,
@@ -215,9 +215,7 @@ def semiconjugacy_check(f: RationalMap, g: RationalMap, h,
     if mode == "sampled":
         rng = np.random.default_rng(_SAMPLED_WITNESS_SEED)
         for _ in range(SAMPLED_WITNESS_POINTS):
-            r = 2.0 * math.sqrt(rng.uniform())
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            z = ProjectivePoint.from_affine(complex(r * math.cos(theta), r * math.sin(theta)))
+            z = ProjectivePoint.from_affine(_disk_sample(rng, radius=2.0))
             a = ProjectivePoint(_eval_form(left[0], z), _eval_form(left[1], z))
             b = ProjectivePoint(_eval_form(right[0], z), _eval_form(right[1], z))
             if a.chordal(b) > SAMPLED_WITNESS_TOL:

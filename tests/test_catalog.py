@@ -277,6 +277,9 @@ HUGE_INT_REASON = ("not valid JSON: Exceeds the limit (4300 digits) for integer 
                  "bad field: too many values to unpack (expected 2)", id="level-pair-of-3"),
     pytest.param(lambda obj: _dumps({**obj, "degree": "two"}),
                  "bad field: invalid literal for int() with base 10: 'two'", id="degree-two"),
+    # levels converts before the other fields, so its error names the line
+    pytest.param(lambda obj: _dumps({**obj, "degree": "two", "levels": [[["1", "0", "0"]]]}),
+                 "bad field: too many values to unpack (expected 2)", id="levels-and-degree"),
     pytest.param(lambda obj: _dumps({**obj, "digest": "0123456789abcde"}),
                  "digest is not 16 hex characters", id="digest-15"),
     pytest.param(lambda obj: _dumps({**obj, "digest": "0123456789ABCDEF"}),

@@ -3,11 +3,12 @@ import inspect
 import json
 import math
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
 
-from multispec import cli, errors, format_map, poly, random_map
+from multispec import cli, errors, families, format_map, poly, random_map
 from multispec.cli import build_parser, main
 from multispec.spectrum import DEFAULT_QUANTUM
 
@@ -160,6 +161,41 @@ class TestFiberScanCommand:
                            "--format", "records")
         assert code == 0
         assert any("status=degenerate" in l for l in out.splitlines())
+
+    @pytest.mark.parametrize("box, realizable, degenerate", [
+        ("1e6", 3, 6), ("1e50", 1, 8),
+    ])
+    def test_unbuildable_cells_are_degenerate(self, capsys, box, realizable, degenerate):
+        # at these scales make_map refuses most normal forms (a tiny
+        # resultant, or a degree that drops after reduction); each such cell
+        # is reported, and the scan goes on
+        code, out, _ = run(capsys, "fiber-scan", "--grid", "3", "--box", box,
+                           "--format", "records")
+        assert code == 0
+        cells = [dict(kv.split("=", 1) for kv in l.split()[1:])
+                 for l in out.splitlines() if l.startswith("cell ")]
+        assert len(cells) == 9
+        summary = [l for l in out.splitlines() if l.startswith("summary ")]
+        assert f"realizable={realizable} degenerate={degenerate} " in summary[0]
+        ok = [c for c in cells if c["status"] == "ok"]
+        assert len(ok) == realizable
+        for c in ok:
+            s1, s2 = float(c["s1"]), float(c["s2"])
+            target = (complex(s1), complex(s2), complex(s1 - 2.0))
+            m = families.invert_sigma(families.MilnorPoint(*target))
+            _, dist = spectrum_module.compare_spectra(
+                spectrum_module.spectrum(m, 1),
+                spectrum_module.MultiplierSpectrum(2, 1, (target,)))
+            assert c["roundtrip_err"] == cli._fmt_real(dist)
+
+    def test_box_with_infinite_span_exit_2(self, capsys):
+        # 2 * 1e308 overflows: the grid would hold inf and nan, so the box
+        # is refused before numpy sees it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "fiber-scan", "--grid", "3", "--box", "1e308")
+        assert code == 2 and out == ""
+        assert "--box" in err and "Traceback" not in err
 
     def test_unsupported_degree(self, capsys):
         # level-1 inversion exists for quadratics only, so there is no option
