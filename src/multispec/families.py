@@ -20,11 +20,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetExceeded, DegenerateParameters, MultispecError, NotRealizable, SingularCurve
+from .errors import DegenerateParameters, MultispecError, NotRealizable, SingularCurve
 from .poly import (
-    MAX_POINTS,
     MobiusTransform,
     RationalMap,
+    _check_budget,
     compose,
     make_map,
 )
@@ -173,10 +173,6 @@ def elementary_transform(h1, h2) -> ElementaryPair:
     them: h2 o f = g o h2.
     """
     m1, m2 = _as_map(h1), _as_map(h2)
-    if m1.degree * m2.degree + 1 > MAX_POINTS:
-        raise BudgetExceeded(
-            f"composed degree {m1.degree * m2.degree} exceeds the root budget"
-        )
     return ElementaryPair(compose(m1, m2), compose(m2, m1), m2)
 
 
@@ -203,6 +199,8 @@ def random_map(d: int, seed: int) -> RationalMap:
     """
     if d < 2:
         raise ValueError("degree must be >= 2")
+    # refused here: the loop below would take BudgetExceeded for a rejected candidate
+    _check_budget(d, 1)
     rng = np.random.default_rng(seed)
     while True:
         num = [_disk_sample(rng) for _ in range(d + 1)]

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MapSyntaxError, UnknownIdentifier
+from .rootfind import _trim_leading
 
 _NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -368,9 +369,7 @@ def format_map(m) -> str:
     """
     num = np.asarray(m.p, dtype=complex)
     den = np.asarray(m.q, dtype=complex)
-    den_trim = den.copy()
-    while len(den_trim) > 1 and den_trim[-1] == 0:
-        den_trim = den_trim[:-1]
+    den_trim = _trim_leading(den)
     if len(den_trim) == 1:
         # constant denominator folds into the numerator
         return format_polynomial(num / den_trim[0])

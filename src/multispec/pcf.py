@@ -30,6 +30,7 @@ from .poly import (
     orbit_multiplier,
     substitute_forms,
 )
+from .rootfind import _trim_leading
 from .spectrum import DisjointType, compare_spectra, spectrum
 
 SUPERATTRACTING_TOL = 1e-8
@@ -180,7 +181,7 @@ def classify_disjoint_type(f: RationalMap, max_period: int = 4) -> Classificatio
 def _as_form_pair(h) -> tuple[np.ndarray, np.ndarray, int]:
     if isinstance(h, RationalMap):
         return h.p, h.q, h.degree
-    coeffs = _as_coeff_array(h)
+    coeffs = _trim_leading(_as_coeff_array(h))
     deg = len(coeffs) - 1
     den = np.zeros(deg + 1, dtype=complex)
     den[0] = 1.0

@@ -39,7 +39,7 @@ from . import parser
 from .errors import (BudgetExceeded, DegenerateMap, DegenerateTransform, DegreeTooLow,
                      IndeterminateDerivative, PrecisionExhausted)
 from .points import ProjectivePoint, as_point
-from .rootfind import _chart_horner, _form_partials, binary_form_roots, roots
+from .rootfind import _chart_horner, _chart_table, _form_partials, binary_form_roots, roots
 
 EPS_DEGENERATE = 1e-12
 LOG_EPS_DEGENERATE = math.log(EPS_DEGENERATE)
@@ -69,8 +69,6 @@ def _pad(arr: np.ndarray, length: int) -> np.ndarray:
 
 def _true_degree(arr: np.ndarray) -> int:
     scale = float(np.max(np.abs(arr)))
-    if scale == 0.0:
-        return 0
     end = len(arr)
     while end > 1 and abs(arr[end - 1]) <= COEFF_TRIM_REL * scale:
         end -= 1
@@ -111,6 +109,11 @@ class RationalMap:
     degree: int
     log_resultant: float  # log |Res| of the normalized pair
 
+    def __post_init__(self):
+        # a map is a value: whoever holds its forms reads them only
+        self.p.flags.writeable = False
+        self.q.flags.writeable = False
+
     def evaluate(self, point) -> ProjectivePoint:
         pt = as_point(point)
         x = _eval_form(self.p, pt)
@@ -136,7 +139,7 @@ def _eval_form(c: np.ndarray, pt: ProjectivePoint) -> complex:
 
 def _finalize(p: np.ndarray, q: np.ndarray, degree: int,
               predicted_log_res: float | None = None) -> RationalMap:
-    """Pad, normalize, freeze, and run the degeneracy gate, in the pair's dtype.
+    """Pad, normalize, and run the degeneracy gate, in the pair's dtype.
 
     With no prediction (construction from raw coefficients) the gate is
     the fixed threshold |Res| > EPS_DEGENERATE on the normalized pair.
@@ -177,22 +180,19 @@ def _finalize(p: np.ndarray, q: np.ndarray, degree: int,
                 "numeric cancellation in composition: log-resultant "
                 f"{measured:.3f} vs predicted {expected:.3f}: double precision exhausted"
             )
-    p.flags.writeable = False
-    q.flags.writeable = False
     return RationalMap(p, q, degree, measured)
 
 
 def _approximate_gcd_reduce(num: np.ndarray, den: np.ndarray):
-    """Remove common roots (within GCD_CLUSTER_RADIUS) from the pair.
+    """Remove common roots (within GCD_CLUSTER_RADIUS) from make_map's trimmed pair.
 
     Returns the original arrays untouched when nothing cancels, so exact
     user input stays exact.
     """
-    dn, dd = _true_degree(num), _true_degree(den)
-    if dn < 1 or dd < 1:
+    if len(num) < 2 or len(den) < 2:
         return num, den
-    num_roots = list(roots(num[: dn + 1]).roots)
-    den_roots = list(roots(den[: dd + 1]).roots)
+    num_roots = list(roots(num).roots)
+    den_roots = list(roots(den).roots)
     num_mult = [r.multiplicity for r in num_roots]
     den_mult = [r.multiplicity for r in den_roots]
     cancelled = False
@@ -209,14 +209,14 @@ def _approximate_gcd_reduce(num: np.ndarray, den: np.ndarray):
     if not cancelled:
         return num, den
 
-    def rebuild(root_list, mults, original, true_deg):
+    def rebuild(root_list, mults, original):
         surviving = []
         for r, m in zip(root_list, mults):
             surviving.extend([r.location.affine] * m)
-        lead = original[true_deg]
+        lead = original[-1]
         return lead * npoly.polyfromroots(surviving) if surviving else np.array([lead])
 
-    return rebuild(num_roots, num_mult, num, dn), rebuild(den_roots, den_mult, den, dd)
+    return rebuild(num_roots, num_mult, num), rebuild(den_roots, den_mult, den)
 
 
 def make_map(num, den) -> RationalMap:
@@ -236,6 +236,7 @@ def make_map(num, den) -> RationalMap:
         raise DegenerateMap("numerator is identically zero")
     num = num[: _true_degree(num) + 1]
     den = den[: _true_degree(den) + 1]
+    _check_budget(max(len(num), len(den)) - 1, 1)
     num, den = _approximate_gcd_reduce(num, den)
     degree = max(_true_degree(num), _true_degree(den))
     if degree < 2:
@@ -285,6 +286,7 @@ def substitute_forms(outer_p, outer_q, inner_p, inner_q):
 
 def compose(f: RationalMap, g: RationalMap) -> RationalMap:
     """f after g; degree multiplies, and the forms keep the wider dtype of the two."""
+    _check_budget(f.degree * g.degree, 1)
     new_p, new_q = substitute_forms(f.p, f.q, g.p, g.q)
     # Res(F o G) = Res(F)**deg(G) * Res(G)**(deg F)**2
     predicted = g.degree * f.log_resultant + f.degree**2 * g.log_resultant
@@ -318,7 +320,8 @@ class MobiusTransform:
     def __post_init__(self):
         entries = (self.a, self.b, self.c, self.d)
         scale = max(abs(v) for v in entries)
-        if scale == 0 or not math.isfinite(scale):
+        # each entry is tested: max() passes over a nan that is not in first place
+        if scale == 0 or not all(cmath.isfinite(v) for v in entries):
             raise DegenerateTransform("all entries vanish or are non-finite")
         if scale != 1.0:
             for name, v in zip("abcd", entries):
@@ -339,8 +342,6 @@ class MobiusTransform:
         """
         p = np.array([self.b, self.a], dtype=complex)
         q = np.array([self.d, self.c], dtype=complex)
-        p.flags.writeable = False
-        q.flags.writeable = False
         return RationalMap(p, q, 1, math.log(abs(self.a * self.d - self.b * self.c)))
 
 
@@ -364,18 +365,11 @@ class _OrbitDifferentials:
     """
 
     def __init__(self, f: RationalMap):
-        d = self.degree = f.degree
-        # rows (P, Q, P_X, P_Y, Q_X, Q_Y) by coefficient, ascending in the
-        # chart variable: chart 0 for u = x/y, chart 1 for w = y/x. The
-        # degree-(d-1) partials get a zero top coefficient, so one Horner
-        # pass covers all six
-        z_chart = np.zeros((d + 1, 6), dtype=complex)
-        z_chart[:, 0], z_chart[:, 1] = f.p, f.q
-        z_chart[:d, 2:] = np.column_stack([*_form_partials(f.p), *_form_partials(f.q)])
-        w_chart = np.zeros_like(z_chart)
-        w_chart[:, :2] = z_chart[::-1, :2]
-        w_chart[:d, 2:] = z_chart[d - 1::-1, 2:]
-        self.table = np.stack([z_chart, w_chart], axis=-1)
+        self.degree = f.degree
+        # rows (P, Q, P_X, P_Y, Q_X, Q_Y), ascending in the chart variable:
+        # chart 0 for u = x/y, chart 1 (the reversals) for w = y/x
+        rows = [f.p, f.q, *_form_partials(f.p), *_form_partials(f.q)]
+        self.table = _chart_table(rows, [row[::-1] for row in rows])
 
     def _step_values(self, x: np.ndarray, y: np.ndarray):
         """(P, Q, P_X, P_Y, Q_X, Q_Y) at all points, chart per point, as a new array."""

@@ -134,14 +134,20 @@ def _form_partials(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return unit[1:] * np.arange(1, m + 1), unit[:-1] * np.arange(m, 0, -1)
 
 
+def _chart_table(*charts) -> np.ndarray:
+    """The _chart_horner table of each chart's ascending rows; short rows get zero tops."""
+    length = max(len(row) for rows in charts for row in rows)
+    table = np.zeros((length, len(charts[0]), len(charts)), dtype=complex)
+    for k, rows in enumerate(charts):
+        for i, row in enumerate(rows):
+            table[: len(row), i, k] = row
+    return table
+
+
 def _newton_table(c: np.ndarray) -> np.ndarray:
     """The _chart_horner table of p and p' in both charts (p' is dX, then reversed dY)."""
-    m = len(c) - 1
     dx, dy = _form_partials(c)
-    table = np.zeros((m + 1, 2, 2), dtype=complex)
-    table[:, 0] = np.column_stack([c, c[::-1]])
-    table[:m, 1] = np.column_stack([dx, dy[::-1]])
-    return table
+    return _chart_table([c, dx], [c[::-1], dy[::-1]])
 
 
 def _newton_correction(table, z, scale):
@@ -244,8 +250,6 @@ def roots(p, residual_tol: float = 1e-10) -> RootSet:
     if m < 1:
         raise ValueError("root finding needs degree >= 1")
     scale = float(np.max(np.abs(coeffs)))
-    if scale == 0.0:
-        raise ValueError("zero polynomial has no well-defined roots")
 
     # peel exact roots at the origin
     zero_mult = 0

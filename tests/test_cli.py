@@ -72,6 +72,15 @@ class TestSpectrumCommand:
         code, _, err = run(capsys, "spectrum", "z^2", "--max-period", "12")
         assert code == 3 and "numeric failure" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "z^2600+1", "--max-period", "1"),
+        ("generate", "random", "--degree", "2600"),
+    ], ids=["spectrum", "generate"])
+    def test_map_past_budget_exit_3(self, capsys, argv):
+        # refused as the map is built, before any root finding
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and "level 1 needs 2601 points" in err
+
     @pytest.mark.parametrize("measured", [-math.inf, poly.RESULTANT_LAW_RANGE],
                              ids=["singular", "law-broken"])
     def test_composition_past_double_precision_exit_3(self, capsys, monkeypatch, measured):

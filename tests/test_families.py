@@ -183,6 +183,19 @@ class TestPowerAndRandom:
         with pytest.raises(TypeError, match="a bug"):
             random_map(2, 5)
 
+    def test_random_map_degree_guards(self, monkeypatch):
+        with pytest.raises(ValueError, match="degree must be >= 2"):
+            random_map(1, 0)
+
+        def never(*args):
+            raise AssertionError("ran past the point budget")
+
+        # refused before the candidate loop, which would take the refusal
+        # for a rejected candidate and draw forever
+        monkeypatch.setattr(families_module, "make_map", never)
+        with pytest.raises(BudgetExceeded, match="level 1 needs 2601 points"):
+            random_map(2600, 0)
+
     def test_random_maps_valid(self):
         for seed in range(100):
             f = random_map(2, 70_000 + seed)

@@ -121,6 +121,13 @@ class TestSemiconjugacy:
         f = power_map(2)
         assert semiconjugacy_check(f, f, [0, 1], "exact")
 
+    def test_witness_degree_ignores_zero_top_coefficients(self):
+        f = random_map(2, 1)
+        assert semiconjugacy_check(f, f, [0, 1, 0], "exact")
+        assert semiconjugacy_check(f, f, [0, 1, 0], "sampled")
+        with pytest.raises(ValueError, match="witness must have degree >= 1"):
+            semiconjugacy_check(power_map(2), power_map(2), [0, 0])
+
     def test_different_maps_fail(self):
         assert not semiconjugacy_check(
             power_map(2), rational_map_from_text("z^2+1"), [0, 1], "exact"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -30,6 +31,7 @@ from multispec import (
     sylvester_resultant,
 )
 from multispec import poly
+from multispec.points import as_point
 from multispec.poly import _OrbitDifferentials
 
 
@@ -72,6 +74,47 @@ class TestMakeMap:
         with pytest.raises(DegenerateMap):
             make_map([0], [1, 0, 1])
 
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(DegenerateMap, match="denominator is identically zero"):
+            make_map([0, 0, 1], [0, 0])
+
+    @pytest.mark.parametrize("num, den", [
+        ([0, 0, math.nan], [1]), ([0, 0, 1], [math.inf, 1]), ([complex(0, math.nan), 0, 1], [1]),
+    ])
+    def test_non_finite_coefficients_rejected(self, num, den):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            make_map(num, den)
+
+    def test_budget_refused_before_root_finding(self, monkeypatch):
+        # no level of a degree-2000 map fits MAX_POINTS, so neither the
+        # common-factor root finder nor the Sylvester matrix may run
+        def never(*args):
+            raise AssertionError("ran past the point budget")
+
+        monkeypatch.setattr(poly, "roots", never)
+        monkeypatch.setattr(poly, "_log_resultant", never)
+        with pytest.raises(BudgetExceeded, match="level 1 needs 2601 points"):
+            rational_map_from_text("z^2600+1")
+        with pytest.raises(BudgetExceeded, match="level 1 needs 2601 points"):
+            make_map([1.0] * 2601, [1.0, 2.0])
+        # trailing zeros are trimmed first: a degree-2 pair padded past the cap
+        with pytest.raises(AssertionError, match="past the point budget"):
+            make_map([0, 0, 1] + [0] * 3000, [1, 3])
+        # degree 1999 is inside the cap and reaches the root finder
+        with pytest.raises(AssertionError, match="past the point budget"):
+            make_map([1.0] * 2000, [1.0, 2.0])
+        with pytest.raises(BudgetExceeded, match="level 1 needs 2001 points"):
+            make_map([1.0] * 2001, [1.0, 2.0])
+
+    def test_forms_are_read_only(self):
+        f = random_map(2, 1)
+        wide = dataclasses.replace(f, p=f.p.astype(np.clongdouble), q=f.q.astype(np.clongdouble))
+        for g in (f, wide, MobiusTransform(1, 2, 0, 1)._map, compose(f, f)):
+            for form in (g.p, g.q):
+                assert not form.flags.writeable
+                with pytest.raises(ValueError):
+                    form[0] = 0
+
 
 class TestCompose:
     def test_power_maps(self):
@@ -80,6 +123,17 @@ class TestCompose:
         h = compose(f, g)
         assert h.degree == 6
         assert coeffs_match(h, make_map([0] * 6 + [1], [1]), 1e-14)
+
+    def test_budget_refused_before_substitution(self, monkeypatch):
+        f = make_map([0] * 50 + [1], [1])
+
+        def never(*args):
+            raise AssertionError("ran past the point budget")
+
+        for name in ("substitute_forms", "roots", "_log_resultant"):
+            monkeypatch.setattr(poly, name, never)
+        with pytest.raises(BudgetExceeded, match="level 1 needs 2501 points"):
+            compose(f, f)
 
     def test_shifted_square(self):
         f = rational_map_from_text("z^2+1")
@@ -131,6 +185,10 @@ class TestIterate:
         with pytest.raises(BudgetExceeded):
             iterate(f, 11)  # 2^11 + 1 > 2000
 
+    def test_count_below_one_rejected(self):
+        with pytest.raises(ValueError, match="iteration count"):
+            iterate(make_map([0, 0, 1], [1]), 0)
+
 
 class TestConjugate:
     def test_power_map_inversion_symmetry(self):
@@ -153,6 +211,19 @@ class TestConjugate:
     def test_degenerate_transform_rejected(self):
         with pytest.raises(DegenerateTransform):
             MobiusTransform(1, 2, 2, 4)
+
+    def test_zero_transform_rejected(self):
+        with pytest.raises(DegenerateTransform, match="vanish"):
+            MobiusTransform(0, 0, 0, 0)
+
+    @pytest.mark.parametrize("slot", range(4))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan), complex(-math.inf, 0)])
+    def test_non_finite_entry_rejected(self, slot, bad):
+        # max() of the moduli passes over a nan anywhere but first
+        entries = [1, 0, 0, 1]
+        entries[slot] = bad
+        with pytest.raises(DegenerateTransform, match="non-finite"):
+            MobiusTransform(*entries)
 
     @pytest.mark.parametrize("d, digest", [
         (2, "81e85da1c078a3ebb377e51e592a247283f360435e7e11afc437455fcd3c0364"),
@@ -177,6 +248,14 @@ def test_projective_point_needs_finite_coordinates(x, y):
     # a nan second coordinate once passed, since max(1.0, nan) is 1.0
     with pytest.raises(ValueError):
         ProjectivePoint(x, y)
+
+
+def test_as_point_coercions():
+    assert as_point(math.inf) == ProjectivePoint.infinity()
+    assert as_point(complex(0, -math.inf)).is_infinite
+    assert as_point(2) == ProjectivePoint.from_affine(2)
+    with pytest.raises(TypeError, match="cannot interpret"):
+        as_point("0.5")
 
 
 class TestDerivative:

@@ -99,6 +99,16 @@ def test_binary_form_examples():
     assert rs.infinity_multiplicity == 2
 
 
+@pytest.mark.parametrize("form, degree, message", [
+    ([1, 0, 1], 1, "longer than the formal degree"),
+    ([0, 0], 2, "zero form"),
+    ([0j], 0, "zero form"),
+])
+def test_binary_form_guards(form, degree, message):
+    with pytest.raises(ValueError, match=message):
+        binary_form_roots(form, degree)
+
+
 def test_determinism_bit_for_bit():
     rng = np.random.default_rng(55)
     coeffs = rng.normal(size=40) + 1j * rng.normal(size=40)

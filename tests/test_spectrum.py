@@ -33,6 +33,7 @@ from multispec import (
     milnor_quadratic,
     newton_to_elementary,
     orbit_multiplier,
+    periodic_point_levels,
     periodic_points,
     poly,
     power_map,
@@ -108,6 +109,10 @@ class TestPeriodicPoints:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             periodic_points(power_map(2), 12)
+
+    def test_levels_need_a_period(self):
+        with pytest.raises(ValueError, match="max_period must be >= 1"):
+            periodic_point_levels(power_map(2), 0)
 
 
 # sha256 of the reprs of (location, multiplicity, multiplier), recorded with
