@@ -16,9 +16,11 @@ third iterate of a mild degree-4 polynomial already has log-resultant
 
     Res(F o G) = Res(F)**deg(G) * Res(G)**(deg F)**2
 
-to predict the composed log-resultant from the factors'; a measured
-value that disagrees means the arithmetic actually lost the digits, and
-only then is the composition rejected.
+to predict the composed log-resultant from the factors'. Where the
+prediction is small enough for a measurement to mean anything, a
+measured value that disagrees means the arithmetic actually lost the
+digits, and only then is the composition rejected; beyond that range
+the composed map takes the predicted value unmeasured.
 
 Derivatives are taken in charts: the affine chart z for points with
 |z| <= 1 and the chart w = 1/z otherwise, so evaluation arguments never
@@ -107,7 +109,9 @@ class RationalMap:
     p: np.ndarray  # numerator form, ascending, length degree + 1
     q: np.ndarray  # denominator form
     degree: int
-    log_resultant: float  # log |Res| of the normalized pair
+    # log |Res| of the normalized pair: measured, except for a composition
+    # past RESULTANT_LAW_RANGE, which carries the composition law's value
+    log_resultant: float
 
     def __post_init__(self):
         # a map is a value: whoever holds its forms reads them only
@@ -137,6 +141,21 @@ def _eval_form(c: np.ndarray, pt: ProjectivePoint) -> complex:
     return complex(npoly.polyval(pt.y / pt.x, c[::-1]) * pt.x**m)
 
 
+_SINGULAR_PAIR = ("composition produced an exactly singular form pair: "
+                  "its coefficients left the double exponent range")
+
+
+def _shares_end_root(p: np.ndarray, q: np.ndarray) -> bool:
+    """Both forms vanish at z = 0 or both at z = inf, read in complex128.
+
+    A composed pair's exact resultant is nonzero; the exact singularity
+    double arithmetic makes there is coefficients that underflow to zero
+    at the same end, as sylvester_matrix reads them.
+    """
+    ends = _as_coeff_array([p[0], q[0], p[-1], q[-1]]).reshape(2, 2)
+    return bool(np.any(np.all(ends == 0, axis=1)))
+
+
 def _finalize(p: np.ndarray, q: np.ndarray, degree: int,
               predicted_log_res: float | None = None) -> RationalMap:
     """Pad, normalize, and run the degeneracy gate, in the pair's dtype.
@@ -144,42 +163,46 @@ def _finalize(p: np.ndarray, q: np.ndarray, degree: int,
     With no prediction (construction from raw coefficients) the gate is
     the fixed threshold |Res| > EPS_DEGENERATE on the normalized pair.
     With a prediction (composition) the gate is agreement with the
-    resultant composition law, which stays meaningful at any depth.
+    resultant composition law inside RESULTANT_LAW_RANGE; beyond it the
+    law's value is taken, and only a pair sharing an end root is refused.
     """
     p = _pad(np.asarray(p), degree + 1)
     q = _pad(np.asarray(q), degree + 1)
-    scale = max(float(np.max(np.abs(p))), float(np.max(np.abs(q))))
+    # one max over both forms: Python's max() of two floats passes over a nan second
+    scale = float(np.max(np.abs(np.concatenate([p, q]))))
     if scale == 0.0:
         raise DegenerateMap("both forms vanish identically")
     if not math.isfinite(scale):
         raise DegenerateMap("non-finite coefficients")
     p = p / scale
     q = q / scale
-    measured = _log_resultant(p, q, degree)
     if predicted_log_res is None:
+        measured = _log_resultant(p, q, degree)
         if measured <= LOG_EPS_DEGENERATE:
             raise DegenerateMap(
                 f"normalized degree-{degree} pair has |resultant| <= {EPS_DEGENERATE}"
             )
-    else:
-        expected = predicted_log_res - 2.0 * degree * math.log(scale)
-        if not math.isfinite(measured):
-            raise PrecisionExhausted(
-                "composition produced an exactly singular form pair: "
-                "its coefficients left the double exponent range"
-            )
-        # Res is an exponentially ill-conditioned functional of the
-        # coefficients: eps-level coefficient rounding legitimately moves
-        # log|Res| by O(|log Res|) once the latter is large. The law is
-        # only a meaningful consistency check while |log Res| is modest;
-        # beyond that, precision exhaustion is caught downstream by the
-        # root-stage residual gates.
-        if abs(expected) <= RESULTANT_LAW_RANGE and \
-                abs(measured - expected) > RESULTANT_LAW_SLACK:
-            raise PrecisionExhausted(
-                "numeric cancellation in composition: log-resultant "
-                f"{measured:.3f} vs predicted {expected:.3f}: double precision exhausted"
-            )
+        return RationalMap(p, q, degree, measured)
+    expected = predicted_log_res - 2.0 * degree * math.log(scale)
+    # Res is an exponentially ill-conditioned functional of the
+    # coefficients: eps-level coefficient rounding legitimately moves
+    # log|Res| by O(|log Res|) once the latter is large. The law is only a
+    # meaningful consistency check while |log Res| is modest; beyond that
+    # the map takes the law's value, the Sylvester determinant is not
+    # formed, and precision exhaustion is caught downstream by the
+    # root-stage residual gates.
+    if abs(expected) > RESULTANT_LAW_RANGE:
+        if _shares_end_root(p, q):
+            raise PrecisionExhausted(_SINGULAR_PAIR)
+        return RationalMap(p, q, degree, expected)
+    measured = _log_resultant(p, q, degree)
+    if not math.isfinite(measured):
+        raise PrecisionExhausted(_SINGULAR_PAIR)
+    if abs(measured - expected) > RESULTANT_LAW_SLACK:
+        raise PrecisionExhausted(
+            "numeric cancellation in composition: log-resultant "
+            f"{measured:.3f} vs predicted {expected:.3f}: double precision exhausted"
+        )
     return RationalMap(p, q, degree, measured)
 
 

@@ -168,6 +168,16 @@ def _newton_correction(table, z, scale):
     return num / denom, np.abs(pv) / scale
 
 
+def _residuals(c: np.ndarray, z: np.ndarray, scale: float) -> np.ndarray:
+    """The residuals of _newton_correction, to the bit, from p alone.
+
+    p' is never formed: m * c_k can overflow where p itself does not.
+    """
+    outer = ~(np.abs(z) <= 1.0)
+    u = np.divide(1.0, z, out=z.copy(), where=outer)
+    return np.abs(_chart_horner(_chart_table([c], [c[::-1]]), u, outer)[0]) / scale
+
+
 def _aberth(table: np.ndarray, residual_tol: float) -> np.ndarray:
     """Approximate all roots of the _newton_table's p (p(0) != 0, deg >= 1)."""
     c = table[:, 0, 0]
@@ -196,6 +206,8 @@ def _aberth(table: np.ndarray, residual_tol: float) -> np.ndarray:
         step = w / denom
         zl = zl - step
         z[live] = zl
+        if not np.all(np.isfinite(zl)):
+            return z  # it enters every repulsion sum: stop, and roots refuses it
         done[live] = (np.abs(step) <= 4.0 * _EPS * (1.0 + np.abs(zl))) | (res <= floor)
         if np.all(done):
             break
@@ -257,13 +269,14 @@ def roots(p, residual_tol: float = 1e-10) -> RootSet:
         zero_mult += 1
     core = coeffs[zero_mult:]
 
-    table = _newton_table(coeffs)
     found: list[tuple[complex, int]] = []
     if zero_mult:
         found.append((0j, zero_mult))
     if len(core) > 1:
-        core_table = _newton_table(core) if zero_mult else table
+        core_table = _newton_table(core)
         approx = _aberth(core_table, residual_tol)
+        if not np.all(np.isfinite(approx)):
+            raise NoConvergence("root finder left a non-finite approximation", math.inf)
         clusters = _cluster(approx, CLUSTER_RADIUS)
         core_scale = float(np.max(np.abs(core)))
         for center, mult in clusters:
@@ -285,7 +298,7 @@ def roots(p, residual_tol: float = 1e-10) -> RootSet:
             found.append((center, mult))
 
     centers = np.array([c for c, _ in found], dtype=complex)
-    residuals = _newton_correction(table, centers, scale)[1]
+    residuals = _residuals(coeffs, centers, scale)
     worst = float(residuals.max()) if len(residuals) else 0.0
     if worst > residual_tol:
         raise NoConvergence("root finder missed the residual tolerance", worst)

@@ -68,6 +68,14 @@ class TestSpectrumCommand:
         code, _, err = run(capsys, "spectrum", "(z^2+z)/(z+1)")
         assert code == 2 and "degree" in err
 
+    def test_lattes_level_5_exit_3(self, capsys):
+        # lattes_mult2((1, 1)): its level-5 seeding leaves non-finite roots
+        code, out, err = run(capsys, "spectrum",
+                             "(0.125*z^4-0.25*z^2-z+0.125)/(0.5*z^3+0.5*z+0.5)",
+                             "--max-period", "5")
+        assert code == 3 and out == ""
+        assert err.startswith("numeric failure: ") and "non-finite" in err
+
     def test_budget_exit_3(self, capsys):
         code, _, err = run(capsys, "spectrum", "z^2", "--max-period", "12")
         assert code == 3 and "numeric failure" in err
@@ -110,6 +118,15 @@ class TestCompareCommand:
     def test_degree_mismatch_exit_2(self, capsys):
         code, _, err = run(capsys, "compare", "z^2", "z^3")
         assert code == 2
+
+    def test_huge_coefficient_prints_only_the_error(self, capsys):
+        # the common-factor root finder must not overflow on 1e308 z^2 / z
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "compare", "((z)*((z)*(1e308)))/(z)", "1e-300",
+                                 "--max-period", "3")
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: effective degree 1 after reduction; need >= 2"]
 
 
 class TestGenerateCommand:

@@ -166,6 +166,68 @@ class TestCompose:
         # existing handlers of either base still catch it
         assert isinstance(exc.value, DegenerateMap) and isinstance(exc.value, NumericFailure)
 
+    def test_resultant_past_the_law_range_is_the_laws_value(self, monkeypatch):
+        f = random_map(2, 1)
+        g = iterate(f, 3)
+        p, q = poly.substitute_forms(f.p, f.q, g.p, g.q)
+        scale = float(np.max(np.abs(np.concatenate([p, q]))))
+        law = 8 * f.log_resultant + 4 * g.log_resultant - 2 * 16 * math.log(scale)
+        assert law < -poly.RESULTANT_LAW_RANGE
+
+        def never(*args):
+            raise AssertionError("measured a resultant the law does not compare")
+
+        monkeypatch.setattr(poly, "_log_resultant", never)
+        h = compose(f, g)
+        assert h.degree == 16 and h.log_resultant == pytest.approx(law, rel=1e-12)
+
+    def test_resultant_inside_the_law_range_is_measured(self, monkeypatch):
+        f = rational_map_from_text("z^2+1")
+        measured = []
+        log_resultant = poly._log_resultant
+
+        def recording(p, q, degree):
+            measured.append(log_resultant(p, q, degree))
+            return measured[-1]
+
+        monkeypatch.setattr(poly, "_log_resultant", recording)
+        h = compose(f, f)
+        # the pair (X^4 + 2X^2Y^2 + 2Y^4, Y^4) scaled by 1/2 has Res (1/2)^4 * (1/2)^4
+        assert measured == [h.log_resultant]
+        assert h.log_resultant == pytest.approx(math.log(1 / 256), abs=1e-9)
+
+    def test_forms_vanishing_at_one_end_are_refused(self):
+        # both constant terms of the degree-1024 iterate underflow to zero
+        with pytest.raises(PrecisionExhausted, match="exactly singular form pair"):
+            iterate(random_map(2, 11), 10)
+
+    @pytest.mark.skipif(np.finfo(np.clongdouble).precision <= 15,
+                        reason="needs a complex dtype wider than complex128")
+    def test_wide_forms_are_refused_by_their_double_ends(self, monkeypatch):
+        # nonzero in the wide dtype, zero once read in complex128 as the
+        # Sylvester matrix reads them
+        f = random_map(2, 1)
+        wide = dataclasses.replace(f, p=f.p.astype(np.clongdouble), q=f.q.astype(np.clongdouble))
+        deep = iterate(wide, 3)
+        tiny = np.ldexp(np.longdouble(1), -1100)
+        p = np.array([tiny] + [0] * 15 + [1], dtype=np.clongdouble)
+        q = np.array([tiny, 1] + [0] * 15, dtype=np.clongdouble)
+        monkeypatch.setattr(poly, "substitute_forms", lambda *args: (p, q))
+        with pytest.raises(PrecisionExhausted, match="exactly singular form pair"):
+            compose(wide, deep)
+
+    @pytest.mark.parametrize("p, q, message", [
+        ([0] * 5, [0] * 5, "both forms vanish identically"),
+        ([1, 0, math.inf, 0, 1], [1] * 5, "non-finite coefficients"),
+        ([1, 0, 0, 0, 1], [1, math.nan, 0, 0, 0], "non-finite coefficients"),
+    ], ids=["zero", "inf", "nan-in-q"])
+    def test_degenerate_composed_forms_are_refused(self, monkeypatch, p, q, message):
+        f = rational_map_from_text("z^2+1")
+        forms = (np.array(p, dtype=complex), np.array(q, dtype=complex))
+        monkeypatch.setattr(poly, "substitute_forms", lambda *args: forms)
+        with pytest.raises(DegenerateMap, match=message):
+            compose(f, f)
+
 
 class TestIterate:
     def test_power_tower(self):

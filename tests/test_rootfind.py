@@ -1,11 +1,12 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from multispec import NoConvergence, binary_form_roots, roots
+from multispec import NoConvergence, binary_form_roots, lattes_mult2, roots, spectrum
 from multispec import rootfind
 from multispec.families import random_map
 from multispec.spectrum import fixed_point_form
@@ -209,6 +210,33 @@ def test_newton_correction_matches_polyval_bit_for_bit(degree):
             want = _polyval_newton_correction(coeffs, pts, scale)
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("degree", [1, 2, 8, 65, 257])
+def test_residuals_match_newton_correction_bit_for_bit(degree):
+    rng = np.random.default_rng(900 + degree)
+    c = (rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)) * 10.0 ** rng.uniform(
+        -6, 6, size=degree + 1)
+    z = np.exp(rng.uniform(-8.0, 8.0, size=60) + 2j * np.pi * rng.uniform(size=60))
+    z = np.concatenate([z, [0, 1, -1j, 0.6 + 0.8j, 1e150]])
+    scale = float(np.max(np.abs(c)))
+    want = rootfind._newton_correction(rootfind._newton_table(c), z, scale)[1]
+    assert rootfind._residuals(c, z, scale).tobytes() == want.tobytes()
+
+
+def test_roots_at_the_origin_form_no_derivative():
+    # 2 * 1e308 overflows: the zero roots' residuals need p alone
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rs = roots([0, 0, 1e308])
+    assert [(r.location.affine, r.multiplicity, r.residual) for r in rs.roots] == [(0, 2, 0.0)]
+
+
+def test_non_finite_approximation_is_no_convergence():
+    # the level-5 seeding of this Lattes map overflows in the Aberth sweep;
+    # a non-finite root is refused, not handed to ProjectivePoint
+    with pytest.raises(NoConvergence, match="non-finite approximation"):
+        spectrum(lattes_mult2((1, 1)), 5)
 
 
 def test_no_convergence_is_an_error(monkeypatch):
