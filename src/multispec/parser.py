@@ -290,6 +290,43 @@ def expression_to_fraction(node: Expr) -> tuple[np.ndarray, np.ndarray]:
     raise TypeError(f"unknown node {node!r}")
 
 
+def _fraction_degrees(node: Expr) -> tuple[int, int]:
+    """The degrees of expression_to_fraction's (numerator, denominator), from the tree alone.
+
+    Array lengths there are structural (a convolution adds degrees, a sum
+    keeps the larger), so these are its arrays' lengths less one.
+    """
+    if isinstance(node, Var):
+        return 1, 0
+    if isinstance(node, Const):
+        return 0, 0
+    if isinstance(node, Neg):
+        return _fraction_degrees(node.operand)
+    if isinstance(node, Pow):
+        n, d = _fraction_degrees(node.base)
+        return node.exponent * n, node.exponent * d
+    if isinstance(node, BinOp):
+        n1, d1 = _fraction_degrees(node.left)
+        n2, d2 = _fraction_degrees(node.right)
+        if node.op in "+-":
+            return max(n1 + d2, n2 + d1), d1 + d2
+        if node.op == "*":
+            return n1 + n2, d1 + d2
+        if node.op == "/":
+            return n1 + d2, d1 + n2
+    raise TypeError(f"unknown node {node!r}")
+
+
+def expansion_degree(node: Expr) -> int:
+    """The degree of the fraction expression_to_fraction would build, before it builds it.
+
+    It bounds the map's degree: a^k has k times the degree of a, a product
+    or quotient at most the sum, and a sum of polynomials at most the
+    larger; common factors only lower it.
+    """
+    return max(_fraction_degrees(node))
+
+
 def _padded_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     size = max(len(a), len(b))
     out = np.zeros(size, dtype=complex)

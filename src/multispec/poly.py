@@ -268,8 +268,13 @@ def make_map(num, den) -> RationalMap:
 
 
 def rational_map_from_text(text: str) -> RationalMap:
-    """Parse expression text and build the map it denotes."""
+    """Parse expression text and build the map it denotes.
+
+    A text whose expansion is past the point budget is refused before
+    any coefficient is computed.
+    """
     tree = parser.parse_map(text)
+    _check_budget(parser.expansion_degree(tree), 1)
     num, den = parser.expression_to_fraction(tree)
     return make_map(num, den)
 

@@ -33,6 +33,15 @@ _START_ANGLE = 0.4810348602198763
 MAX_ITER = 500  # Aberth sweeps
 CLUSTER_RADIUS = 1e-7  # relative distance merged into one multiple root
 NEWTON_STEPS = 8  # polish steps per root and per cluster
+# a polynomial whose largest coefficient is past this is brought to unit
+# scale by a power of two: its roots stay, |p|/scale and p/p' keep their
+# bits, and a chart value times a large argument, or times the degree,
+# no longer overflows. Ordinary inputs are never scaled.
+_SCALE_LIMIT = 2.0**512
+# elements in one scratch block (3 MiB of complex): a level's pairwise
+# arrays go in row blocks of this size, and a Horner slab past it is
+# gathered in coefficient chunks of this size
+BLOCK_ELEMENTS = 3 * 2**16
 
 
 @dataclass(frozen=True)
@@ -107,18 +116,54 @@ def _initial_points(c: np.ndarray) -> np.ndarray:
     return starts
 
 
+def _row_blocks(count: int, width: int) -> list[slice]:
+    """Slices over `count` rows of `width` elements, at most BLOCK_ELEMENTS
+    elements (and at least one row) each."""
+    step = max(1, BLOCK_ELEMENTS // width)
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
+
 def _chart_horner(table: np.ndarray, t: np.ndarray, outer: np.ndarray) -> np.ndarray:
     """All rows of a [coefficient, row, chart] table at chart variables t.
 
-    `outer` marks the points in chart 1. The slabs are gathered once,
-    points last and contiguous. Horner keeps polyval's exact operation
-    order (t * 0 term included), so zero-padded rows keep their bits.
+    `outer` marks the points in chart 1. The slab is gathered once,
+    points last and contiguous; a slab past BLOCK_ELEMENTS is gathered in
+    coefficient chunks, top first, laid out the same way. Horner keeps
+    polyval's exact operation order (t * 0 term included), so zero-padded
+    rows keep their bits, and chunking moves none.
     """
-    slab = np.take(table, outer.astype(np.intp), axis=-1)
-    vals = slab[-1] + t * 0
-    for j in range(len(table) - 2, -1, -1):
-        vals = slab[j] + vals * t
+    charts = outer.astype(np.intp)
+    per_coeff = table.shape[1] * len(t)
+    if len(table) * per_coeff <= BLOCK_ELEMENTS:
+        slab = np.take(table, charts, axis=-1)
+        vals = slab[-1] + t * 0
+        for j in range(len(table) - 2, -1, -1):
+            vals = slab[j] + vals * t
+        return vals
+    vals = np.take(table[-1], charts, axis=-1) + t * 0
+    chunk = max(1, BLOCK_ELEMENTS // per_coeff)
+    for hi in range(len(table) - 1, 0, -chunk):
+        slab = np.take(table[max(0, hi - chunk) : hi], charts, axis=-1)
+        for j in range(len(slab) - 1, -1, -1):
+            vals = slab[j] + vals * t
+        del slab  # freed before the next chunk is gathered
     return vals
+
+
+def _repulsion(z: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """The Aberth sum of 1/(z[i] - z[j]) over j != i, for each row i in `live`.
+
+    Rows go in _row_blocks; each row still sums all len(z) terms in one
+    pass, in index order, so the blocks move no bit.
+    """
+    out = np.empty(len(live), dtype=complex)
+    for rows in _row_blocks(len(live), len(z)):
+        idx = live[rows]
+        diff = z[idx][:, None] - z[None, :]
+        diff[np.arange(len(idx)), idx] = np.inf
+        out[rows] = np.sum(np.divide(1.0, diff, out=diff), axis=1)
+        del diff  # freed before the next block is formed
+    return out
 
 
 def _form_partials(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,10 +243,7 @@ def _aberth(table: np.ndarray, residual_tol: float) -> np.ndarray:
         live = np.flatnonzero(~done)
         zl = z[live]
         w, res = _newton_correction(table, zl, scale)
-        diff = zl[:, None] - z[None, :]
-        diff[np.arange(len(live)), live] = np.inf
-        repulsion = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - w * repulsion
+        denom = 1.0 - w * _repulsion(z, live)
         denom = np.where(denom == 0, _EPS, denom)
         step = w / denom
         zl = zl - step
@@ -221,19 +263,25 @@ def _aberth(table: np.ndarray, residual_tol: float) -> np.ndarray:
     return z
 
 
+def _has_near_pair(values: np.ndarray, radius: float) -> bool:
+    """Whether two approximations lie within the relative cluster radius, in _row_blocks."""
+    m = len(values)
+    scale = np.maximum(1.0, np.abs(values))
+    for rows in _row_blocks(m, m):
+        diff = np.abs(values[rows, None] - values[None, :])
+        diff[np.arange(rows.stop - rows.start), np.arange(rows.start, rows.stop)] = np.inf
+        if np.any(diff <= radius * np.maximum(scale[rows, None], scale[None, :])):
+            return True
+        del diff  # freed before the next block is formed
+    return False
+
+
 def _cluster(values: np.ndarray, radius: float) -> list[tuple[complex, int]]:
     """Greedy merge of approximations within the multiple-root resolution."""
-    m = len(values)
-    if m > 1:
-        # fast path: nothing is anywhere near anything else
-        diff = np.abs(values[:, None] - values[None, :])
-        np.fill_diagonal(diff, np.inf)
-        scale = np.maximum(1.0, np.abs(values))
-        limit = radius * np.maximum(scale[:, None], scale[None, :])
-        if not np.any(diff <= limit):
-            order = np.lexsort((values.imag, values.real))
-            return [(complex(values[i]), 1) for i in order]
     order = np.lexsort((values.imag, values.real))
+    # fast path: nothing is anywhere near anything else
+    if len(values) > 1 and not _has_near_pair(values, radius):
+        return [(complex(values[i]), 1) for i in order]
     remaining = [values[i] for i in order]
     clusters: list[list[complex]] = []
     for v in remaining:
@@ -262,6 +310,9 @@ def roots(p, residual_tol: float = 1e-10) -> RootSet:
     if m < 1:
         raise ValueError("root finding needs degree >= 1")
     scale = float(np.max(np.abs(coeffs)))
+    if scale > _SCALE_LIMIT:
+        coeffs = coeffs * math.ldexp(1.0, -math.frexp(scale)[1])
+        scale = float(np.max(np.abs(coeffs)))
 
     # peel exact roots at the origin
     zero_mult = 0

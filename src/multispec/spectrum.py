@@ -42,7 +42,7 @@ from .poly import (
     compose,
     iterate,
 )
-from .rootfind import _trim_leading, binary_form_roots
+from .rootfind import _repulsion, _row_blocks, _trim_leading, binary_form_roots
 
 ZERO_TAIL_REL_TOL = 1e-6
 PARABOLIC_GUARD = 1e-6
@@ -200,9 +200,7 @@ def _functional_aberth_polish(engine: _OrbitDifferentials, n: int, approx: list[
         # only unfrozen rows move; each still sums over all m points
         live = np.flatnonzero(~frozen)
         zl = z[live]
-        diff = zl[:, None] - z[None, :]
-        diff[np.arange(len(live)), live] = np.inf
-        repulsion = np.sum(1.0 / diff, axis=1)
+        repulsion = _repulsion(z, live)
         for w, mult in held:
             gap = zl - w
             gap = np.where(gap == 0, 1e-30, gap)
@@ -243,11 +241,18 @@ def _functional_aberth_polish(engine: _OrbitDifferentials, n: int, approx: list[
 _FUNCTIONAL_GATE = 1e-7
 
 
-def _chordal_matrix(z: np.ndarray) -> np.ndarray:
-    """Pairwise chordal distances of affine points."""
+def _closest_pair(z: np.ndarray) -> float:
+    """The smallest chordal distance between two of the affine points z, in _row_blocks."""
     w = 1.0 / np.sqrt(1.0 + np.abs(z) ** 2)
-    d = np.abs(z[:, None] - z[None, :])
-    return d * w[:, None] * w[None, :]
+    mins = []
+    for rows in _row_blocks(len(z), len(z)):
+        d = np.abs(z[rows, None] - z[None, :])
+        d *= w[rows, None]
+        d *= w[None, :]
+        d[np.arange(rows.stop - rows.start), np.arange(rows.start, rows.stop)] = np.inf
+        mins.append(d.min())
+        del d  # freed before the next block is formed
+    return float(np.min(mins))  # np.min, not min(): a nan propagates from any block
 
 
 def _periodic_points_from(engine: _OrbitDifferentials, g: RationalMap, n: int) -> PeriodicPointSet:
@@ -297,9 +302,7 @@ def _periodic_points_from(engine: _OrbitDifferentials, g: RationalMap, n: int) -
         # two supposedly distinct points this close mean a root was lost
         # somewhere: refuse to emit a silently wrong spectrum
         if len(final) > 1:
-            dm = _chordal_matrix(final)
-            np.fill_diagonal(dm, np.inf)
-            closest = float(dm.min())
+            closest = _closest_pair(final)
             if closest < 1e-9:
                 raise NoConvergence(
                     f"level-{n} periodic points collided after polish", closest
@@ -492,19 +495,17 @@ def _solve_extended(b: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _rcond_estimate(mat: np.ndarray) -> float:
-    """1/cond of mat narrowed to complex128; 0 where that is singular or not
-    finite (a non-finite matrix never reaches LAPACK, which prints about it)."""
+    """1/cond of mat narrowed to complex128; 0 where that is singular (cond
+    is inf), where LAPACK fails, or where it is not finite (a non-finite
+    matrix never reaches LAPACK, which prints about it)."""
     with np.errstate(over="ignore"):
         mat = mat.astype(complex)
     if not np.all(np.isfinite(mat)):
         return 0.0
     try:
-        cond = np.linalg.cond(mat)
+        return 1.0 / float(np.linalg.cond(mat))
     except np.linalg.LinAlgError:
         return 0.0
-    if not math.isfinite(cond) or cond == 0:
-        return 0.0
-    return 1.0 / float(cond)
 
 
 def newton_to_elementary(powersums) -> list[complex]:

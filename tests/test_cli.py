@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from multispec import cli, errors, families, format_map, poly, random_map
+from multispec import cli, errors, families, format_map, parser, poly, random_map
 from multispec.cli import build_parser, main
 from multispec.spectrum import DEFAULT_QUANTUM
 
@@ -88,6 +88,35 @@ class TestSpectrumCommand:
         # refused as the map is built, before any root finding
         code, _, err = run(capsys, *argv)
         assert code == 3 and "level 1 needs 2601 points" in err
+
+    def test_text_past_budget_is_refused_before_expansion(self, capsys, monkeypatch):
+        # (z^300+1)^300 has degree 90,000: 300 convolutions of 90,001
+        # coefficients are never formed
+        def unexpected(node):
+            raise AssertionError("the text was expanded")
+
+        monkeypatch.setattr(parser, "expression_to_fraction", unexpected)
+        code, out, err = run(capsys, "spectrum", "(z^300+1)^300", "--max-period", "1")
+        assert code == 3 and out == ""
+        assert err == "numeric failure: level 1 needs 90001 points; cap is 2000\n"
+
+    @pytest.mark.parametrize("text", ["(1e308*z^2+1)/(z+2)", "(1e300*z^2+1)/(z+2)"])
+    def test_huge_coefficients_exit_2_without_warnings(self, capsys, text):
+        # each numerator reaches the common-factor root finder, which once
+        # overflowed on it; the pair is degenerate once normalized
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "spectrum", text, "--max-period", "2")
+        assert code == 2 and out == ""
+        assert err == "error: normalized degree-2 pair has |resultant| <= 1e-12\n"
+
+    def test_complex_entries_in_the_table(self, capsys):
+        # the imaginary part is printed with its sign; dust below 1e-12 is not
+        code, out, _ = run(capsys, "spectrum", "z^2+i", "--max-period", "2")
+        assert code == 0
+        level1, level2 = out.splitlines()[1:]
+        assert level1.endswith("+4i, 0") and level2.endswith("-512i, 0")
+        assert level2.startswith("  level 2: 12, 80, 128, ")
 
     @pytest.mark.parametrize("measured", [-math.inf, poly.RESULTANT_LAW_RANGE],
                              ids=["singular", "law-broken"])

@@ -8,7 +8,7 @@ from multispec import (
     parse_map,
     rational_map_from_text,
 )
-from multispec.parser import BinOp, Const, Pow, Var, expression_to_fraction
+from multispec.parser import BinOp, Const, Pow, Var, expansion_degree, expression_to_fraction
 
 
 def test_parse_complex_literals():
@@ -119,3 +119,14 @@ def test_format_map_reparse_reproduces_coefficients():
         idx = int(np.argmax(np.abs(a)))
         phase = a[idx] / b[idx]
         assert np.max(np.abs(b * phase - a)) < 1e-12
+
+
+@pytest.mark.parametrize("text", [
+    "z", "3", "-z^2", "(z+1)^60", "(z^2+1)/(z-2)", "1/(z-1)+1/(z-2)", "z-z",
+    "(z^3+1)^2/(z*(z+1))", "z^2*(1+2i)-z/(z^4+1)", "((z^2+1)^3-(z^2-1)^3)/z",
+])
+def test_expansion_degree_is_read_from_the_tree(text):
+    # the lengths of expression_to_fraction's arrays, without forming them;
+    # a sum of fractions takes its degree from the cross products
+    num, den = expression_to_fraction(parse_map(text))
+    assert expansion_degree(parse_map(text)) == max(len(num), len(den)) - 1

@@ -252,3 +252,66 @@ def test_no_convergence_is_an_error(monkeypatch):
 def test_degree_zero_rejected():
     with pytest.raises(ValueError):
         roots([3.0])
+
+
+# 1000 elements give chunks of 5, 18, 20 and 55 coefficients for the point
+# sets below, none of which divides the 513 coefficients under the top one:
+# each table ends on a short chunk
+@pytest.mark.parametrize("budget", [1, 1000, 40000])
+def test_newton_correction_in_chunks_matches_polyval_bit_for_bit(monkeypatch, budget):
+    monkeypatch.setattr(rootfind, "BLOCK_ELEMENTS", budget)
+    test_newton_correction_matches_polyval_bit_for_bit(513)
+    test_residuals_match_newton_correction_bit_for_bit(257)
+
+
+def test_small_blocks_keep_every_root_bit(monkeypatch):
+    rng = np.random.default_rng(38)
+    c = rng.normal(size=300) + 1j * rng.normal(size=300)
+    doubled = np.convolve(np.convolve(c[:40], [-0.5, 1]), [-0.5, 1])  # a held double root
+
+    def bits(p):
+        return [(repr(r.location), r.multiplicity, repr(r.residual)) for r in roots(p).roots]
+
+    want = [bits(c), bits(doubled)]
+    monkeypatch.setattr(rootfind, "BLOCK_ELEMENTS", 7)
+    assert [bits(c), bits(doubled)] == want
+
+
+def test_repulsion_sums_each_row_in_index_order(monkeypatch):
+    rng = np.random.default_rng(39)
+    z = rng.normal(size=50) + 1j * rng.normal(size=50)
+    live = np.flatnonzero(rng.uniform(size=50) < 0.6)
+    diff = z[live][:, None] - z[None, :]
+    diff[np.arange(len(live)), live] = np.inf
+    want = np.sum(1.0 / diff, axis=1)
+    for budget in (1, 60, 10**6):
+        monkeypatch.setattr(rootfind, "BLOCK_ELEMENTS", budget)
+        assert rootfind._repulsion(z, live).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("budget", [1, 60, 10**6])
+def test_near_pair_found_in_any_block(monkeypatch, budget):
+    monkeypatch.setattr(rootfind, "BLOCK_ELEMENTS", budget)
+    z = np.exp(2j * np.pi * np.arange(40) / 40)
+    assert not rootfind._has_near_pair(z, rootfind.CLUSTER_RADIUS)
+    for i in (0, 23, 39):
+        near = z.copy()
+        near[(i + 17) % 40] = z[i] * (1 + 1e-9)
+        assert rootfind._has_near_pair(near, rootfind.CLUSTER_RADIUS)
+
+
+@pytest.mark.parametrize("coeffs, want", [
+    ([-1e308, 0, 1e308], [(-1, 1), (1, 1)]),
+    # roots +-1e-150i, one cluster at the origin's resolution
+    ([1, 0, 1e300], [(0, 2)]),
+])
+def test_huge_coefficients_are_scaled_silently(coeffs, want):
+    # 2 * 1e308 overflows the derivative table, and the cluster's Newton
+    # steps overflowed p(z) * z for 1e300: such a polynomial is brought to
+    # unit scale first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rs = roots(coeffs)
+    got = [(r.location.affine, r.multiplicity) for r in rs.roots]
+    assert [m for _, m in got] == [m for _, m in want]
+    assert [z for z, _ in got] == pytest.approx([z for z, _ in want], abs=1e-12)

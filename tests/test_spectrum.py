@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -46,6 +47,7 @@ from multispec import (
     spectrum_level,
     zero_multiplier_count,
 )
+from multispec import rootfind
 from multispec.poly import _OrbitDifferentials
 from multispec.rootfind import binary_form_roots
 
@@ -132,6 +134,71 @@ def test_periodic_point_bits_are_pinned(make, n, held, expected):
     assert sum(p.multiplicity > 1 for p in points) == held
     reprs = [(repr(p.location), p.multiplicity, repr(p.multiplier)) for p in points]
     assert hashlib.sha256(repr(reprs).encode()).hexdigest() == expected
+
+
+def _point_reprs(levels):
+    return [[(repr(p.location), p.multiplicity, repr(p.multiplier)) for p in pps.points]
+            for pps in levels]
+
+
+def _glue_closest_pair(find):
+    """binary_form_roots with its two closest simple roots glued into one double root."""
+    def glued(form, degree, residual_tol):
+        rs = find(form, degree, residual_tol=residual_tol)
+        finite = [r for r in rs.roots if not r.location.is_infinite]
+        _, a, b = min(((abs(a.location.affine - b.location.affine), a, b)
+                       for i, a in enumerate(finite) for b in finite[:i]), key=lambda t: t[0])
+        mid = (a.location.affine + b.location.affine) / 2
+        kept = tuple(r for r in rs.roots if r is not a and r is not b)
+        return RootSet(kept + (Root(ProjectivePoint.from_affine(mid), 2, 0.0),))
+    return glued
+
+
+class TestBlockBudget:
+    """The level path's scratch arrays go in blocks of rootfind.BLOCK_ELEMENTS;
+    each row still sums its terms in the same order, so no bit moves."""
+
+    @pytest.mark.parametrize("budget", [5, 1000])
+    @pytest.mark.parametrize("make, top", [
+        (lambda: rational_map_from_text("z^2+0.25"), 4),  # level 4 holds a cluster
+        (lambda: random_map(2, 11), 7),
+    ], ids=["parabolic", "random"])
+    def test_small_blocks_keep_every_bit(self, monkeypatch, budget, make, top):
+        want = _point_reprs(periodic_point_levels(make(), top))
+        monkeypatch.setattr(rootfind, "BLOCK_ELEMENTS", budget)
+        assert _point_reprs(periodic_point_levels(make(), top)) == want
+
+    @pytest.mark.parametrize("budget", [5, 1000])
+    def test_small_blocks_keep_the_split_cluster(self, monkeypatch, budget):
+        # the split case of TestPolishSafetyPaths: a glued non-parabolic pair
+        # is split back into seeds and polished apart
+        monkeypatch.setattr(spectrum_module, "binary_form_roots",
+                            _glue_closest_pair(spectrum_module.binary_form_roots))
+        want = _point_reprs([periodic_points(random_map(2, 11), 3)])
+        monkeypatch.setattr(rootfind, "BLOCK_ELEMENTS", budget)
+        assert _point_reprs([periodic_points(random_map(2, 11), 3)]) == want
+
+    def test_level_scratch_stays_within_a_few_blocks(self):
+        # 730 points: a whole pairwise matrix is 8.5 MB of complex, and the
+        # level once held 25 MiB of such scratch at its peak
+        f = random_map(3, 1)
+        engine, g = _OrbitDifferentials(f), poly.iterate(f, 6)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            spectrum_module._periodic_points_from(engine, g, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 2 * rootfind.BLOCK_ELEMENTS * np.dtype(complex).itemsize
+
+    def test_closest_pair_is_the_smallest_chordal_distance(self, monkeypatch):
+        z = np.array([0.0, 1.0, 1.0 + 1e-3j, -2.0, 1e8, 3j])
+        w = 1.0 / np.sqrt(1.0 + np.abs(z) ** 2)
+        want = min(abs(a - b) * w[i] * w[j] for i, a in enumerate(z)
+                   for j, b in enumerate(z) if i != j)
+        monkeypatch.setattr(rootfind, "BLOCK_ELEMENTS", 7)
+        assert spectrum_module._closest_pair(z) == pytest.approx(want, rel=1e-15)
 
 
 class TestPolishSafetyPaths:
@@ -406,6 +473,33 @@ class TestOracle:
             with pytest.raises(SingularReduction, match="not invertible modulo"):
                 power_sums_oracle(f, 7, 3)
         assert capfd.readouterr() == ("", "")
+
+    def test_both_forms_vanishing_at_infinity_is_singular(self):
+        # a hand-built pair with P and Q both of degree below 2: infinity is
+        # fixed, and its chart derivative is 0/0
+        f = poly.RationalMap(np.array([1, 1, 0], dtype=complex),
+                             np.array([1, 0, 0], dtype=complex), 2, 0.0)
+        with pytest.raises(SingularReduction, match="0/0"):
+            power_sums_oracle(f, 1, 2)
+
+    def test_exactly_singular_reduction_is_refused(self):
+        # power_sums_oracle's rcond check comes first; the solver itself
+        # still never divides by an exactly zero pivot
+        b = np.array([[1, 2], [2, 4]], dtype=complex)
+        with pytest.raises(SingularReduction, match="exactly singular"):
+            spectrum_module._solve_extended(b, np.eye(2))
+
+    def test_singular_matrix_has_zero_rcond(self):
+        # np.linalg.cond reads inf here, and 1/inf is the estimate
+        assert spectrum_module._rcond_estimate(np.zeros((3, 3), dtype=complex)) == 0.0
+
+    def test_lapack_failure_reads_as_singular(self, monkeypatch):
+        def failing(mat):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "cond", failing)
+        with pytest.raises(SingularReduction, match="not invertible modulo"):
+            power_sums_oracle(random_map(2, 1), 1, 2)
 
 
 class TestIndexSum:
