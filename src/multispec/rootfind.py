@@ -116,52 +116,44 @@ def _initial_points(c: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _row_blocks(count: int, width: int) -> list[slice]:
-    """Slices over `count` rows of `width` elements, at most BLOCK_ELEMENTS
-    elements (and at least one row) each."""
-    step = max(1, BLOCK_ELEMENTS // width)
-    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+def _block_rows(width: int) -> int:
+    """Rows of `width` elements in one BLOCK_ELEMENTS block (at least one)."""
+    return BLOCK_ELEMENTS // width if 0 < width <= BLOCK_ELEMENTS else 1
 
 
 def _chart_horner(table: np.ndarray, t: np.ndarray, outer: np.ndarray) -> np.ndarray:
     """All rows of a [coefficient, row, chart] table at chart variables t.
 
-    `outer` marks the points in chart 1. The slab is gathered once,
-    points last and contiguous; a slab past BLOCK_ELEMENTS is gathered in
-    coefficient chunks, top first, laid out the same way. Horner keeps
-    polyval's exact operation order (t * 0 term included), so zero-padded
-    rows keep their bits, and chunking moves none.
+    `outer` marks the points in chart 1. The slab is gathered points last
+    and contiguous, in coefficient chunks of at most BLOCK_ELEMENTS, top
+    first; a slab under the budget is one chunk. Horner keeps polyval's
+    exact operation order (t * 0 term included), so zero-padded rows keep
+    their bits, and chunking moves none.
     """
     charts = outer.astype(np.intp)
-    per_coeff = table.shape[1] * len(t)
-    if len(table) * per_coeff <= BLOCK_ELEMENTS:
-        slab = np.take(table, charts, axis=-1)
-        vals = slab[-1] + t * 0
-        for j in range(len(table) - 2, -1, -1):
-            vals = slab[j] + vals * t
-        return vals
-    vals = np.take(table[-1], charts, axis=-1) + t * 0
-    chunk = max(1, BLOCK_ELEMENTS // per_coeff)
-    for hi in range(len(table) - 1, 0, -chunk):
+    chunk = _block_rows(table.shape[1] * len(t))
+    vals = None
+    for hi in range(len(table), 0, -chunk):
         slab = np.take(table[max(0, hi - chunk) : hi], charts, axis=-1)
         for j in range(len(slab) - 1, -1, -1):
-            vals = slab[j] + vals * t
+            vals = slab[j] + (t * 0 if vals is None else vals * t)
         del slab  # freed before the next chunk is gathered
     return vals
 
 
-def _repulsion(z: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """The Aberth sum of 1/(z[i] - z[j]) over j != i, for each row i in `live`.
+def _repulsion(z: np.ndarray, zl: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """The Aberth sum of 1/(z[i] - z[j]) over j != i, for each row i in `live` (zl = z[live]).
 
-    Rows go in _row_blocks; each row still sums all len(z) terms in one
-    pass, in index order, so the blocks move no bit.
+    Rows go in blocks of _block_rows; each row still sums all len(z) terms
+    in one pass, in index order, so the blocks move no bit.
     """
+    step = _block_rows(len(z))
     out = np.empty(len(live), dtype=complex)
-    for rows in _row_blocks(len(live), len(z)):
-        idx = live[rows]
-        diff = z[idx][:, None] - z[None, :]
-        diff[np.arange(len(idx)), idx] = np.inf
-        out[rows] = np.sum(np.divide(1.0, diff, out=diff), axis=1)
+    for lo in range(0, len(live), step):
+        diff = zl[lo : lo + step, None] - z[None, :]
+        diff[np.arange(len(diff)), live[lo : lo + step]] = np.inf
+        # np.sum's own reduction, written into the block's rows
+        np.add.reduce(np.divide(1.0, diff, out=diff), axis=1, out=out[lo : lo + step])
         del diff  # freed before the next block is formed
     return out
 
@@ -243,7 +235,7 @@ def _aberth(table: np.ndarray, residual_tol: float) -> np.ndarray:
         live = np.flatnonzero(~done)
         zl = z[live]
         w, res = _newton_correction(table, zl, scale)
-        denom = 1.0 - w * _repulsion(z, live)
+        denom = 1.0 - w * _repulsion(z, zl, live)
         denom = np.where(denom == 0, _EPS, denom)
         step = w / denom
         zl = zl - step
@@ -264,13 +256,14 @@ def _aberth(table: np.ndarray, residual_tol: float) -> np.ndarray:
 
 
 def _has_near_pair(values: np.ndarray, radius: float) -> bool:
-    """Whether two approximations lie within the relative cluster radius, in _row_blocks."""
+    """Whether two approximations lie within the relative cluster radius, in row blocks."""
     m = len(values)
     scale = np.maximum(1.0, np.abs(values))
-    for rows in _row_blocks(m, m):
-        diff = np.abs(values[rows, None] - values[None, :])
-        diff[np.arange(rows.stop - rows.start), np.arange(rows.start, rows.stop)] = np.inf
-        if np.any(diff <= radius * np.maximum(scale[rows, None], scale[None, :])):
+    step = _block_rows(m)
+    for lo in range(0, m, step):
+        diff = np.abs(values[lo : lo + step, None] - values[None, :])
+        diff.reshape(-1)[lo :: m + 1] = np.inf  # the block's share of the diagonal
+        if np.any(diff <= radius * np.maximum(scale[lo : lo + step, None], scale[None, :])):
             return True
         del diff  # freed before the next block is formed
     return False

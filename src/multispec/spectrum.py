@@ -42,7 +42,7 @@ from .poly import (
     compose,
     iterate,
 )
-from .rootfind import _repulsion, _row_blocks, _trim_leading, binary_form_roots
+from .rootfind import _block_rows, _repulsion, _trim_leading, binary_form_roots
 
 ZERO_TAIL_REL_TOL = 1e-6
 PARABOLIC_GUARD = 1e-6
@@ -200,7 +200,7 @@ def _functional_aberth_polish(engine: _OrbitDifferentials, n: int, approx: list[
         # only unfrozen rows move; each still sums over all m points
         live = np.flatnonzero(~frozen)
         zl = z[live]
-        repulsion = _repulsion(z, live)
+        repulsion = _repulsion(z, zl, live)
         for w, mult in held:
             gap = zl - w
             gap = np.where(gap == 0, 1e-30, gap)
@@ -242,14 +242,16 @@ _FUNCTIONAL_GATE = 1e-7
 
 
 def _closest_pair(z: np.ndarray) -> float:
-    """The smallest chordal distance between two of the affine points z, in _row_blocks."""
+    """The smallest chordal distance between two of the affine points z, in row blocks."""
+    m = len(z)
     w = 1.0 / np.sqrt(1.0 + np.abs(z) ** 2)
+    step = _block_rows(m)
     mins = []
-    for rows in _row_blocks(len(z), len(z)):
-        d = np.abs(z[rows, None] - z[None, :])
-        d *= w[rows, None]
+    for lo in range(0, m, step):
+        d = np.abs(z[lo : lo + step, None] - z[None, :])
+        d *= w[lo : lo + step, None]
         d *= w[None, :]
-        d[np.arange(rows.stop - rows.start), np.arange(rows.start, rows.stop)] = np.inf
+        d.reshape(-1)[lo :: m + 1] = np.inf  # the block's share of the diagonal
         mins.append(d.min())
         del d  # freed before the next block is formed
     return float(np.min(mins))  # np.min, not min(): a nan propagates from any block

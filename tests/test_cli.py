@@ -89,16 +89,20 @@ class TestSpectrumCommand:
         code, _, err = run(capsys, *argv)
         assert code == 3 and "level 1 needs 2601 points" in err
 
-    def test_text_past_budget_is_refused_before_expansion(self, capsys, monkeypatch):
-        # (z^300+1)^300 has degree 90,000: 300 convolutions of 90,001
-        # coefficients are never formed
+    @pytest.mark.parametrize("text, points", [
+        # degree 90,000: 300 convolutions of 90,001 coefficients are never formed
+        ("(z^300+1)^300", 90001),
+        # the structural degree, before make_map's relative trim would read z^2+1
+        ("1e-13*z^2500+z^2+1", 2501),
+    ])
+    def test_text_past_budget_is_refused_before_expansion(self, capsys, monkeypatch, text, points):
         def unexpected(node):
             raise AssertionError("the text was expanded")
 
         monkeypatch.setattr(parser, "expression_to_fraction", unexpected)
-        code, out, err = run(capsys, "spectrum", "(z^300+1)^300", "--max-period", "1")
+        code, out, err = run(capsys, "spectrum", text, "--max-period", "1")
         assert code == 3 and out == ""
-        assert err == "numeric failure: level 1 needs 90001 points; cap is 2000\n"
+        assert err == f"numeric failure: level 1 needs {points} points; cap is 2000\n"
 
     @pytest.mark.parametrize("text", ["(1e308*z^2+1)/(z+2)", "(1e300*z^2+1)/(z+2)"])
     def test_huge_coefficients_exit_2_without_warnings(self, capsys, text):

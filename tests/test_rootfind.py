@@ -286,7 +286,7 @@ def test_repulsion_sums_each_row_in_index_order(monkeypatch):
     want = np.sum(1.0 / diff, axis=1)
     for budget in (1, 60, 10**6):
         monkeypatch.setattr(rootfind, "BLOCK_ELEMENTS", budget)
-        assert rootfind._repulsion(z, live).tobytes() == want.tobytes()
+        assert rootfind._repulsion(z, z[live], live).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("budget", [1, 60, 10**6])
