@@ -22,6 +22,12 @@ measured value that disagrees means the arithmetic actually lost the
 digits, and only then is the composition rejected; beyond that range
 the composed map takes the predicted value unmeasured.
 
+A measurement is the closed form |Res| = |c|^D |q_0|^k |q_D|^(D-k) when
+one form is a monomial c X^k Y^(D-k): every polynomial map, whose
+denominator is c Y^d, and the power maps z^d, whose |Res| is 1 at every
+depth and so stays inside the range. Any other pair is measured by
+factoring its dense 2D x 2D Sylvester matrix.
+
 Derivatives are taken in charts: the affine chart z for points with
 |z| <= 1 and the chart w = 1/z otherwise, so evaluation arguments never
 leave the closed unit disk.  At a fixed point the chart derivative is
@@ -95,7 +101,21 @@ def sylvester_resultant(p, q, degree: int) -> complex:
 
 
 def _log_resultant(p: np.ndarray, q: np.ndarray, degree: int) -> float:
-    """log |Res(P, Q)|, through an LU factorization so it never underflows."""
+    """log |Res(P, Q)|, read in complex128 as sylvester_matrix reads the forms.
+
+    When one form is a monomial c X^k Y^(D-k), Res is multiplicative and
+    |Res| = |c|^D |q_0|^k |q_D|^(D-k) in closed form; any other pair goes
+    through an LU factorization of the Sylvester matrix, so it never
+    underflows.
+    """
+    p, q = _as_coeff_array(p), _as_coeff_array(q)
+    for mono, other in ((p, q), (q, p)):
+        if np.count_nonzero(mono) == 1:
+            k = int(np.flatnonzero(mono)[0])
+            terms = [(degree, mono[k]), (k, other[0]), (degree - k, other[degree])]
+            if any(e > 0 and c == 0 for e, c in terms):
+                return -math.inf
+            return sum(e * math.log(abs(c)) for e, c in terms if e > 0)
     _, logabs = np.linalg.slogdet(sylvester_matrix(p, q, degree))
     return float(logabs)
 

@@ -328,16 +328,21 @@ def roots(p, residual_tol: float = 1e-10) -> RootSet:
                 # modified Newton x -= mult * p/p' restores quadratic
                 # convergence at an mult-fold root; the plain iteration
                 # leaves the cluster centroid ~eps**(1/mult) off.  Keep
-                # the refined point only while the residual improves.
+                # the refined point only while the residual improves,
+                # and stop at the first trial past the double range (a
+                # non-finite step makes one).
                 zc = np.array([center])
                 best = center
-                w, res = _newton_correction(core_table, zc, core_scale)
-                best_res = float(res[0])
-                for _ in range(NEWTON_STEPS):
-                    zc = zc - mult * w
+                with np.errstate(over="ignore", invalid="ignore"):
                     w, res = _newton_correction(core_table, zc, core_scale)
-                    if res[0] <= best_res:
-                        best, best_res = complex(zc[0]), float(res[0])
+                    best_res = float(res[0])
+                    for _ in range(NEWTON_STEPS):
+                        zc = zc - mult * w
+                        if not np.isfinite(zc[0]):
+                            break
+                        w, res = _newton_correction(core_table, zc, core_scale)
+                        if res[0] <= best_res:
+                            best, best_res = complex(zc[0]), float(res[0])
                 center = best
             found.append((center, mult))
 

@@ -114,6 +114,19 @@ class TestSpectrumCommand:
         assert code == 2 and out == ""
         assert err == "error: normalized degree-2 pair has |resultant| <= 1e-12\n"
 
+    @pytest.mark.parametrize("text, degree", [
+        ("(1e308*z^3+z+1)/(z^2+2)", 3), ("(z^3+1e-300*z+1e308)/(z^2-2)", 2),
+    ])
+    def test_huge_coefficients_stop_without_warnings(self, capsys, text, degree):
+        # the first reaches the cluster refinement, whose Newton step
+        # overflows; the second trims to a constant numerator, a monomial
+        # whose resultant is the closed form with no Sylvester matrix
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "spectrum", text, "--max-period", "2")
+        assert code == 2 and out == ""
+        assert err == f"error: normalized degree-{degree} pair has |resultant| <= 1e-12\n"
+
     def test_complex_entries_in_the_table(self, capsys):
         # the imaginary part is printed with its sign; dust below 1e-12 is not
         code, out, _ = run(capsys, "spectrum", "z^2+i", "--max-period", "2")

@@ -25,6 +25,7 @@ from multispec import (
     lattes_mult2,
     make_map,
     milnor_quadratic,
+    power_map,
     random_map,
     random_mobius,
     rational_map_from_text,
@@ -114,6 +115,71 @@ class TestMakeMap:
                 assert not form.flags.writeable
                 with pytest.raises(ValueError):
                     form[0] = 0
+
+
+def _slogdet(p, q, degree):
+    return float(np.linalg.slogdet(poly.sylvester_matrix(p, q, degree))[1])
+
+
+def _monomial(degree, k, c):
+    form = np.zeros(degree + 1, dtype=complex)
+    form[k] = c
+    return form
+
+
+class TestLogResultant:
+    # a form with one nonzero coefficient takes the closed form; the
+    # oracle is the Sylvester determinant it replaces
+    general = np.array([0.3 - 0.2j, -1.1, 0.4j, 2.0, 0.05 + 0.7j, -0.6])  # q_0 != q_5
+
+    @pytest.mark.parametrize("k", [0, 2, 5], ids=["k=0", "middle", "k=D"])
+    @pytest.mark.parametrize("c", [0.7, 0.6 - 0.45j], ids=["real", "complex"])
+    def test_one_monomial_form_matches_slogdet(self, k, c):
+        mono = _monomial(5, k, c)
+        for p, q in ((mono, self.general), (self.general, mono)):
+            assert poly._log_resultant(p, q, 5) == pytest.approx(_slogdet(p, q, 5), abs=1e-9)
+
+    @pytest.mark.parametrize("kp, kq", [(4, 0), (0, 4), (1, 0)])
+    def test_two_monomial_forms_match_slogdet(self, kp, kq):
+        p, q = _monomial(4, kp, 0.5j), _monomial(4, kq, -0.25)
+        expected = _slogdet(p, q, 4)
+        assert poly._log_resultant(p, q, 4) == pytest.approx(expected, abs=1e-9)
+
+    def test_oracle_dtype_forms_match_slogdet(self):
+        from multispec.spectrum import _ORACLE_DTYPE
+
+        # the companion-trace oracle composes in the widest complex dtype
+        for f, n in ((rational_map_from_text("z^3"), 3), (rational_map_from_text("z^2+1"), 2)):
+            g = iterate(dataclasses.replace(
+                f, p=f.p.astype(_ORACLE_DTYPE), q=f.q.astype(_ORACLE_DTYPE)), n)
+            assert g.p.dtype == _ORACLE_DTYPE
+            measured = poly._log_resultant(g.p, g.q, g.degree)
+            assert measured == pytest.approx(_slogdet(g.p, g.q, g.degree), abs=1e-9)
+        wide = _monomial(5, 2, 0.6 - 0.45j).astype(_ORACLE_DTYPE)
+        narrow = self.general.astype(_ORACLE_DTYPE)
+        assert poly._log_resultant(wide, narrow, 5) == pytest.approx(
+            _slogdet(wide, narrow, 5), abs=1e-9)
+
+    @pytest.mark.parametrize("p, q", [
+        ([0, 0, 1, 0], [0, 1, 2, 3]),    # X^2 Y and q_0 = 0: both vanish at z = 0
+        ([2, 0, 0, 0], [1, 2, 3, 0]),    # Y^3 and q_3 = 0: both vanish at z = inf
+        ([0, 1, 0, 0], [0, 0, 1j, 0]),   # X Y^2 against X^2 Y
+        ([0, 2, 3, 1], [0, 0, 0, 1]),    # the monomial second: X^3 and p_0 = 0
+    ])
+    def test_shared_root_is_minus_infinity_as_in_slogdet(self, p, q):
+        p, q = np.array(p, dtype=complex), np.array(q, dtype=complex)
+        assert _slogdet(p, q, 3) == -math.inf
+        assert poly._log_resultant(p, q, 3) == -math.inf
+
+    def test_power_maps_form_no_sylvester_matrix(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("formed a Sylvester matrix")
+
+        monkeypatch.setattr(poly, "sylvester_matrix", never)
+        h = compose(power_map(44), power_map(44))
+        assert h.degree == 1936 and h.log_resultant == 0.0
+        g = rational_map_from_text("z^1999+1")
+        assert g.degree == 1999 and g.log_resultant == 0.0
 
 
 class TestCompose:

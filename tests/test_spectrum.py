@@ -108,6 +108,26 @@ class TestPeriodicPoints:
             pps = periodic_points(random_map(d, seed), n)
             assert pps.total_multiplicity == d**n + 1
 
+    @pytest.mark.parametrize("d, n", [(2, 10), (3, 6), (4, 5), (6, 4), (12, 3), (44, 2)])
+    def test_power_map_reference_at_the_budget_edge(self, d, n):
+        # f^n = z^N, N = d^n, fixes 0 and inf with multiplier 0 and each
+        # (N-1)-th root of unity zeta with multiplier N * zeta^(N-1)
+        big = d**n
+        zeta = np.exp(2j * np.pi * np.arange(big - 1) / (big - 1))
+        table = dict(enumerate(big * zeta ** (big - 1)))
+        pps = periodic_points(power_map(d), n)
+        assert all(p.multiplicity == 1 for p in pps.points)
+        ends = [p for p in pps.points if p.location.is_infinite or p.location.affine == 0]
+        assert len(ends) == 2 and all(p.multiplier == 0 for p in ends)
+        for p in pps.points:
+            if p in ends:
+                continue
+            z = p.location.affine
+            j = round(np.angle(z) / (2 * np.pi) * (big - 1)) % (big - 1)
+            assert abs(z - zeta[j]) <= 1e-9
+            assert abs(p.multiplier - table.pop(j)) <= 1e-9 * big
+        assert not table
+
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             periodic_points(power_map(2), 12)
